@@ -318,8 +318,10 @@ def cmd_curve(cfg: RunConfig) -> int:
 def cmd_threshold(cfg: RunConfig) -> int:
     kind = cfg.geometry_kind()
     problem = CurvatureProblem(kind, cfg.rhs_weight(kind))
+    if (cfg.lambda_min is None) != (cfg.lambda_max is None):
+        raise ValueError("threshold needs both lambda_min and lambda_max, or neither")
     grid = None
-    if cfg.lambda_min is not None and cfg.lambda_max is not None:
+    if cfg.lambda_min is not None:
         grid = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.lambda_steps)
     report = solver.extract_thresholds(problem, cfg.quadrature(), lambda_grid=grid)
     branches = [

@@ -274,18 +274,24 @@ def closed_form_distances(
     phi_a = np.asarray(phi_a, dtype=float)
     phi_b = np.asarray(phi_b, dtype=float)
     _check_domain(geometry, rho, lam)
+    if geometry is GeometryKind.SPHERICAL:
+        # Half-angle form: at the antipode (d = pi) it gives cos d = -1
+        # exactly.  A sum of cosine products can land an ulp off there,
+        # which arccos turns into an error of ~1e-8 in d.
+        sl = np.sin(lam)
+        cl = np.cos(lam)
+        cr = np.cos(rho)
+        u = np.sin(0.5 * (phi_a - phi_b))
+        v = np.sin(0.5 * (phi_a + phi_b))
+        x = (
+            cr
+            - sl * sl * ((cr + 1.0) * u * u + (cr - 1.0) * v * v)
+            + 2.0 * np.sin(rho) * cl * sl * u * v
+        )
+        return _invert_cos(x)
     cos_a = np.cos(phi_a)
     cos_b = np.cos(phi_b)
     sin_ab = np.sin(phi_a) * np.sin(phi_b)
-    if geometry is GeometryKind.SPHERICAL:
-        sl = np.sin(lam)
-        cl = np.cos(lam)
-        x = (
-            np.cos(rho) * (cos_a * cos_b * sl * sl + cl * cl)
-            + np.sin(rho) * (cos_b - cos_a) * cl * sl
-            + sin_ab * sl * sl
-        )
-        return _invert_cos(x)
     sl = np.sinh(lam)
     cl = np.cosh(lam)
     x = (

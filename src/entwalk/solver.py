@@ -12,7 +12,12 @@ attractive rule (``w = 2 - p``), the hyperboloid with the repulsive one
 (``w = 2 + p``).
 
 ``F`` is evaluated by tensor-product periodic trapezoidal quadrature over
-the two azimuths.  That rule is spectrally accurate wherever the
+the two azimuths.  The integrand is invariant under
+``(phi_a, phi_b) -> (-phi_a, -phi_b)`` and
+``(phi_a, phi_b) -> (pi - phi_b, pi - phi_a)``, so the n x n rule is summed
+over the about ``n^2 / 4`` nodes of a fundamental domain, each weighted by
+the size of its orbit: the same rule on fewer evaluations, equal to the
+full sum up to rounding.  That rule is spectrally accurate wherever the
 integrand is smooth; on the sphere the squared geodesic distance develops
 a crease along configurations whose step geodesics wrap past the antipode
 (``rho + 2 lam > pi``), which slows convergence there.  Root finding
@@ -41,12 +46,10 @@ import numpy as np
 
 from .geometry import (
     RHO_CAP,
-    TWO_PI,
     GeometryKind,
     _check_domain,
     _invert_cos,
     _invert_cosh,
-    closed_form_distances,
 )
 
 DEFAULT_SCAN_PANELS = 512
@@ -205,59 +208,69 @@ def _as_quad(quad: QuadratureSpec | None) -> QuadratureSpec:
     return quad if quad is not None else QuadratureSpec()
 
 
-def _quad_mean_fixed_lam(
-    geometry: GeometryKind, rho: np.ndarray, lam: float, n: int
-) -> np.ndarray:
-    """F for many rho at one lam: the azimuth grids factor out of the scan."""
-    phi = TWO_PI * np.arange(n) / n
-    cos_phi = np.cos(phi)
-    sin_phi = np.sin(phi)
-    if geometry is GeometryKind.SPHERICAL:
-        sl, cl = math.sin(lam), math.cos(lam)
-        cr = np.cos(rho)[:, None, None]
-        sr = np.sin(rho)[:, None, None]
-    else:
-        sl, cl = math.sinh(lam), math.cosh(lam)
-        cr = np.cosh(rho)[:, None, None]
-        sr = np.sinh(rho)[:, None, None]
-        scale = (np.cosh(rho) * cl * cl)[:, None, None]
-    out = np.zeros(rho.size)
-    rows = max(1, _CHUNK_BUDGET // (max(rho.size, 1) * n))
-    for r0 in range(0, n, rows):
-        ca = cos_phi[r0 : r0 + rows][None, :, None]
-        sa = sin_phi[r0 : r0 + rows][None, :, None]
-        cb = cos_phi[None, None, :]
-        sb = sin_phi[None, None, :]
-        if geometry is GeometryKind.SPHERICAL:
-            t1 = (ca * cb) * (sl * sl) + cl * cl
-            t2 = (cb - ca) * (cl * sl)
-            t3 = (sa * sb) * (sl * sl)
-            d = _invert_cos(cr * t1 + sr * t2 + t3)
-        else:
-            t1 = cl * cl - (ca * cb) * (sl * sl)
-            t2 = (cb - ca) * (cl * sl)
-            t3 = (sa * sb) * (sl * sl)
-            d = _invert_cosh(cr * t1 - sr * t2 - t3, scale)
-        out += np.einsum("kij,kij->k", d, d)
-    return out / (n * n)
-
-
-def _quad_mean_general(
+def _quad_mean(
     geometry: GeometryKind, rho: np.ndarray, lam: np.ndarray, n: int
 ) -> np.ndarray:
-    """F for paired (rho, lam) arrays via the shared closed-form route."""
-    phi = TWO_PI * np.arange(n) / n
-    out = np.empty(rho.size)
-    chunk = max(1, _CHUNK_BUDGET // (n * n))
-    pa = phi[None, :, None]
-    pb = phi[None, None, :]
-    for lo in range(0, rho.size, chunk):
-        sel = slice(lo, lo + chunk)
-        d = closed_form_distances(
-            geometry, rho[sel][:, None, None], lam[sel][:, None, None], pa, pb
-        )
-        out[sel] = np.einsum("kij,kij->k", d, d) / (n * n)
-    return out
+    """Trapezoid mean of the squared step law over the n x n azimuth grid.
+
+    In the sum and difference indices ``s = i + j``, ``t = i - j`` (mod n)
+    the step law reads
+
+        cos d = cos rho - G (cos rho + 1) u_t^2 - G (cos rho - 1) u_s^2 +- R u_s u_t
+
+    with ``u_k = sin(pi k / n)``, ``G = sin(lam)^2`` and
+    ``R = 2 sin(rho) cos(lam) sin(lam)`` (``cosh``/``sinh`` throughout on
+    the hyperboloid, where ``G = -sinh(lam)^2``).  The two signs are the
+    two grid nodes ``(i, j)`` and ``(i + n/2, j + n/2)`` that share
+    ``(s, t)``.  Flipping the sign of ``s`` or of ``t`` leaves that pair
+    of values unchanged, so only ``0 <= s, t <= n/2`` with
+    ``s = t (mod 2)`` is evaluated, each node weighted by the size of its
+    orbit: about ``n^2 / 4`` nodes instead of ``n^2``.  Every grid node is
+    the image of an evaluated one, so the range checks see every value
+    the full grid holds.  Written in ``u^2`` rather than cosines, nodes at
+    distance 0 or (at ``rho = pi``) at the antipode come out exact.
+    """
+    spherical = geometry is GeometryKind.SPHERICAL
+    if spherical:
+        cr, sr, cl, sl = np.cos(rho), np.sin(rho), np.cos(lam), np.sin(lam)
+        g = sl * sl
+    else:
+        cr, sr, cl, sl = np.cosh(rho), np.sinh(rho), np.cosh(lam), np.sinh(lam)
+        g = -(sl * sl)
+        scale = cr * cl * cl
+    along_t = g * (cr + 1.0)
+    along_s = g * (cr - 1.0)
+    cross = 2.0 * sr * cl * sl
+
+    half = n // 2
+    out = np.zeros(rho.size)
+    for parity in (0, 1):
+        k = np.arange(parity, half + 1, 2)
+        u = np.sin(math.pi * k / n)
+        u2 = u * u
+        weight = np.where((k == 0) | (k == half), 1.0, 2.0)
+        pts = max(1, _CHUNK_BUDGET // (k.size * k.size))
+        rows = max(1, _CHUNK_BUDGET // (pts * k.size))
+        for lo in range(0, rho.size, pts):
+            sel = slice(lo, lo + pts)
+            # s runs along axis 1, t along axis 2
+            from_t = (cr[sel, None] - along_t[sel, None] * u2)[:, None, :]
+            from_s = along_s[sel, None] * u2
+            cross_s = cross[sel, None] * u
+            for r0 in range(0, k.size, rows):
+                blk = slice(r0, r0 + rows)
+                base = from_t - from_s[:, blk, None]
+                mixed = cross_s[:, blk, None] * u
+                if spherical:
+                    d_plus = _invert_cos(base + mixed)
+                    d_minus = _invert_cos(base - mixed)
+                else:
+                    sc = scale[sel, None, None]
+                    d_plus = _invert_cosh(base + mixed, sc)
+                    d_minus = _invert_cosh(base - mixed, sc)
+                sq = d_plus * d_plus + d_minus * d_minus
+                out[sel] += np.einsum("kst,s,t->k", sq, weight[blk], weight)
+    return out / (n * n)
 
 
 def mean_sq_step(
@@ -289,12 +302,7 @@ def mean_sq_step(
     idx = np.nonzero(moving)[0]
     if idx.size:
         n = quad.nodes_per_axis
-        sub_rho = flat_rho[idx]
-        sub_lam = flat_lam[idx]
-        if np.all(sub_lam == sub_lam[0]):
-            out[idx] = _quad_mean_fixed_lam(geometry, sub_rho, float(sub_lam[0]), n)
-        else:
-            out[idx] = _quad_mean_general(geometry, sub_rho, sub_lam, n)
+        out[idx] = _quad_mean(geometry, flat_rho[idx], flat_lam[idx], n)
 
     if scalar:
         return float(out[0])
@@ -708,8 +716,9 @@ def extract_thresholds(
 ) -> ThresholdReport:
     """Endpoints, ratio bounds and the 0.64 comparison for one problem.
 
-    ``lambda_star`` is the axis crossing of ``F(0, lam) = w lam^2``;
-    ``rho0`` the small-step intercept from the series condition.  Ratio
+    ``lambda_star`` is the certified axis crossing of ``F(0, lam) = w lam^2``
+    (the value ``curve`` appends as its axis row); ``rho0`` the small-step
+    intercept from the series condition.  Ratio
     extrema of ``lam / rho`` are taken per traced branch over the grid
     (the default grid spans from near zero up to just below the axis
     crossing).  The comparison status is ``consistent`` when some
@@ -717,7 +726,8 @@ def extract_thresholds(
     reference value 0.64, else ``discrepant``; the report is emitted
     either way.
     """
-    lambda_star = axis_crossing(problem, quad, panels, xtol)
+    axis = certified_axis_crossing(problem, quad, panels=panels, xtol=xtol)
+    lambda_star = axis[0] if axis is not None else None
     rho0 = _series_intercept(problem, panels, xtol)
     if lambda_grid is None:
         lambda_grid = _default_threshold_grid(problem, lambda_star)

@@ -189,6 +189,17 @@ def test_threshold_hyperbolic_report(tmp_path):
     assert payload["paper_value"] == 0.64
 
 
+def test_threshold_rejects_a_lone_grid_bound(tmp_path, capsys):
+    assert run_cli(["threshold", "--lambda-min", "0.3"]) == 2
+    assert run_cli(["threshold", "--lambda-max", "0.3"]) == 2
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text("lambda_min=0.3\n")
+    assert run_cli(["threshold", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert all(line.startswith("error:") for line in err)
+
+
 # ---------------------------------------------------------------------------
 # config file handling
 

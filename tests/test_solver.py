@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entwalk import solver
 from entwalk.geometry import TWO_PI, GeometryKind, closed_form_distances
 from entwalk.solver import (
     CurvatureCurve,
@@ -71,15 +72,36 @@ def test_zero_zero_is_zero():
     assert mean_sq_step(H, 0.0, 0.0) == 0.0
 
 
-def test_mean_sq_step_agrees_with_manual_grid_average():
-    n = 64
-    phi = TWO_PI * np.arange(n) / n
-    for geometry, rho in ((S, 1.3), (H, 2.1)):
-        d = closed_form_distances(geometry, rho, 0.8, phi[:, None], phi[None, :])
-        manual = float(np.mean(d * d))
-        assert mean_sq_step(geometry, rho, 0.8, QuadratureSpec(n)) == pytest.approx(
-            manual, rel=1e-13
-        )
+def test_mean_sq_step_agrees_with_manual_grid_average(monkeypatch):
+    # n/2 even and odd; rho = 0, the antipode and a crease point
+    # (rho + 2 lam > pi) as scalars; a mixed-lam array split over several
+    # point chunks and, at the larger n, several row blocks.
+    monkeypatch.setattr(solver, "_CHUNK_BUDGET", 64)
+    scalars = {
+        S: ((1.3, 0.8), (0.0, 0.8), (math.pi, 0.8), (1.0, 1.2)),
+        H: ((2.1, 0.8), (0.0, 0.8)),
+    }
+    mixed_rho = np.linspace(0.0, 2.5, 7)
+    mixed_lam = np.linspace(0.05, 1.5, 7)
+
+    def manual(geometry, rho, lam, phi):
+        d = closed_form_distances(geometry, rho, lam, phi[:, None], phi[None, :])
+        return float(np.mean(d * d))
+
+    for n in (16, 18, 64, 130):
+        quad = QuadratureSpec(n)
+        phi = TWO_PI * np.arange(n) / n
+        for geometry, points in scalars.items():
+            for rho, lam in points:
+                assert mean_sq_step(geometry, rho, lam, quad) == pytest.approx(
+                    manual(geometry, rho, lam, phi), rel=1e-13
+                )
+            expected = [
+                manual(geometry, r, l, phi) for r, l in zip(mixed_rho, mixed_lam)
+            ]
+            assert mean_sq_step(geometry, mixed_rho, mixed_lam, quad) == pytest.approx(
+                expected, rel=1e-13
+            )
 
 
 def test_small_step_value_spherical():
@@ -316,6 +338,12 @@ def test_extract_thresholds_hyperbolic():
     assert report.rho0 == pytest.approx(1.91501, abs=1e-4)
     assert report.nu_slope is not None
     assert abs(report.nu_slope) < 0.05
+
+
+@pytest.mark.parametrize("problem", [SPH_W1, HYP_W3])
+def test_threshold_lambda_star_is_the_certified_axis_crossing(problem):
+    report = extract_thresholds(problem, lambda_grid=np.linspace(0.05, 0.2, 3))
+    assert report.lambda_star == certified_axis_crossing(problem)[0]
 
 
 def test_rho0_root_is_consistent_with_series_condition():
