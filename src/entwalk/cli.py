@@ -34,6 +34,7 @@ import dataclasses
 import json
 import math
 import sys
+import typing
 
 import numpy as np
 
@@ -55,14 +56,6 @@ EXIT_USAGE = 2
 _PROTOCOLS = {p.value: p for p in Protocol}
 _GEOMETRIES = {g.value: g for g in GeometryKind}
 
-#: Default scaled-step grids for curve tracing: from lambda_min up to
-#: this fraction of the axis crossing.
-_GRID_TOP_FRACTION = 0.98
-_GRID_LAM_MIN = {
-    GeometryKind.SPHERICAL: 0.02,
-    GeometryKind.HYPERBOLIC: 0.05,
-}
-
 
 @dataclasses.dataclass
 class RunConfig:
@@ -82,7 +75,7 @@ class RunConfig:
     quad_nodes: int = 128
     lambda_min: float | None = None
     lambda_max: float | None = None
-    lambda_steps: int = 32
+    lambda_steps: int = solver.DEFAULT_LAMBDA_STEPS
     workers: int = 1
     out: str | None = None
 
@@ -115,24 +108,14 @@ class RunConfig:
         return QuadratureSpec(self.quad_nodes)
 
 
+def _field_parser(hint):
+    """The scalar type of a field annotated ``T`` or ``T | None``."""
+    return next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+
+
+_HINTS = typing.get_type_hints(RunConfig)
 _FIELD_PARSERS = {
-    "seed": int,
-    "protocol": str,
-    "p": float,
-    "r": float,
-    "l": float,
-    "samples": int,
-    "steps": int,
-    "walkers": int,
-    "epsilon": float,
-    "geometry": str,
-    "w": float,
-    "quad_nodes": int,
-    "lambda_min": float,
-    "lambda_max": float,
-    "lambda_steps": int,
-    "workers": int,
-    "out": str,
+    f.name: _field_parser(_HINTS[f.name]) for f in dataclasses.fields(RunConfig)
 }
 
 
@@ -245,29 +228,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _curve_grid(cfg: RunConfig, problem: CurvatureProblem, lam_star: float | None):
-    lam_min = cfg.lambda_min
-    lam_max = cfg.lambda_max
-    if lam_min is None:
-        lam_min = _GRID_LAM_MIN[problem.geometry]
-    if lam_max is None:
-        if lam_star is not None:
-            lam_max = _GRID_TOP_FRACTION * lam_star
-        else:
-            lam_max = solver._LAMBDA_SCAN_MAX[problem.geometry] / 2.0
-    if not lam_max > lam_min:
-        raise ValueError("lambda grid is empty: need lambda_max > lambda_min")
-    if cfg.lambda_steps < 2:
-        raise ValueError("lambda_steps must be at least 2")
-    return np.linspace(lam_min, lam_max, cfg.lambda_steps)
-
-
 def cmd_curve(cfg: RunConfig) -> int:
     kind = cfg.geometry_kind()
     problem = CurvatureProblem(kind, cfg.rhs_weight(kind))
     quad = cfg.quadrature()
     axis = solver.certified_axis_crossing(problem, quad)
-    grid = _curve_grid(cfg, problem, axis[0] if axis else None)
+    grid = solver.make_lambda_grid(
+        problem, axis[0] if axis else None,
+        cfg.lambda_min, cfg.lambda_max, cfg.lambda_steps,
+    )
     traced = solver.trace_curve(problem, grid, quad)
     cert = solver.certify_curve(problem, traced, quad)
 
@@ -289,25 +258,23 @@ def cmd_curve(cfg: RunConfig) -> int:
         )
         residuals.append(axis_cert)
 
+    images = solver.figure3_transform(solver.CurvatureCurve(tuple(points)))
     rows = []
     ok = True
-    for pt, res in zip(points, residuals):
+    for pt, res, image in zip(points, residuals, images):
         ok = ok and abs(res) <= solver.CERTIFICATION_TOL
-        if pt.rho > 0.0:
-            l_over_r = _fmt(pt.lam / pt.rho)
-            r_over_r = _fmt(1.0 / pt.rho)
-        else:
-            # dropped by the ratio transform: no finite image on the axis
-            l_over_r = ""
-            r_over_r = ""
+        # an axis point has no finite ratio image: blank cells
+        ratio_cells = (
+            ["", ""] if image is None
+            else [_fmt(image.l_over_r), _fmt(image.R_over_r)]
+        )
         rows.append(
             [
                 _fmt(pt.lam),
                 _fmt(pt.rho),
                 _fmt(res),
                 str(pt.branch_id),
-                l_over_r,
-                r_over_r,
+                *ratio_cells,
             ]
         )
     header = ["lambda", "rho", "residual", "branch_id", "l_over_r", "R_over_r"]
@@ -318,12 +285,9 @@ def cmd_curve(cfg: RunConfig) -> int:
 def cmd_threshold(cfg: RunConfig) -> int:
     kind = cfg.geometry_kind()
     problem = CurvatureProblem(kind, cfg.rhs_weight(kind))
-    if (cfg.lambda_min is None) != (cfg.lambda_max is None):
-        raise ValueError("threshold needs both lambda_min and lambda_max, or neither")
-    grid = None
-    if cfg.lambda_min is not None:
-        grid = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.lambda_steps)
-    report = solver.extract_thresholds(problem, cfg.quadrature(), lambda_grid=grid)
+    report = solver.extract_thresholds(
+        problem, cfg.quadrature(), cfg.lambda_min, cfg.lambda_max, cfg.lambda_steps
+    )
     branches = [
         {
             "branch_id": bid,

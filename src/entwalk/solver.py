@@ -65,6 +65,14 @@ _LAMBDA_SCAN_MAX = {
     GeometryKind.HYPERBOLIC: 10.0,
 }
 
+#: Default traced lam grid: this many points from the geometry's lower
+#: end up to 98% of the axis crossing.
+DEFAULT_LAMBDA_STEPS = 32
+_LAMBDA_GRID_MIN = {
+    GeometryKind.SPHERICAL: 0.02,
+    GeometryKind.HYPERBOLIC: 0.05,
+}
+
 _RHO_MAX = {
     GeometryKind.SPHERICAL: math.pi,
     GeometryKind.HYPERBOLIC: RHO_CAP,
@@ -176,8 +184,9 @@ class ThresholdReport:
     """Endpoints and ratio bounds extracted from a traced solution set.
 
     ``ratio_extrema`` maps branch id to ``(inf, sup)`` of ``lam / rho``
-    over the branch's traced grid points with ``rho > 0``; ``nu_slope``
-    is the observed small-``lam`` slope of the hyperbolic branch
+    over the branch's traced (not certified) grid points with
+    ``rho > 0``; ``nu_slope`` is the slope between the two smallest-``lam``
+    traced points of the hyperbolic branch, so it depends on the grid
     (reported, not asserted).  Fields are ``None`` when no root exists in
     the scan range.
     """
@@ -196,16 +205,6 @@ class Figure3Point:
     l_over_r: float
     R_over_r: float
     branch_id: int
-
-
-@dataclass(frozen=True)
-class Figure3Result:
-    points: tuple[Figure3Point, ...]
-    dropped: tuple[CurvePoint, ...]
-
-
-def _as_quad(quad: QuadratureSpec | None) -> QuadratureSpec:
-    return quad if quad is not None else QuadratureSpec()
 
 
 def _quad_mean(
@@ -277,7 +276,7 @@ def mean_sq_step(
     geometry: GeometryKind,
     rho,
     lam,
-    quad: QuadratureSpec | None = None,
+    quad: QuadratureSpec = QuadratureSpec(),
 ):
     """Angle-averaged squared step distance ``F(rho, lam)``.
 
@@ -285,7 +284,6 @@ def mean_sq_step(
     average runs over both azimuths on a uniform periodic grid.  A zero
     step returns ``rho**2`` exactly.
     """
-    quad = _as_quad(quad)
     rho_in = np.asarray(rho, dtype=float)
     lam_in = np.asarray(lam, dtype=float)
     scalar = rho_in.ndim == 0 and lam_in.ndim == 0
@@ -329,7 +327,7 @@ def residual(
     problem: CurvatureProblem,
     rho,
     lam,
-    quad: QuadratureSpec | None = None,
+    quad: QuadratureSpec = QuadratureSpec(),
 ):
     """``Phi = F(rho, lam) - rho^2 - w lam^2``; zero at solution points."""
     rho_arr = np.asarray(rho, dtype=float)
@@ -338,22 +336,16 @@ def residual(
     return f - (rho_arr**2 + problem.w * lam_arr**2)
 
 
-def _find_roots(
-    f,
-    lo: float,
-    hi: float,
-    panels: int,
-    xtol: float,
-    exclude_lo: bool = False,
-) -> list[float]:
+def _find_roots(f, lo: float, hi: float, exclude_lo: bool = False) -> list[float]:
     """All sign-change roots of vectorized ``f`` on [lo, hi].
 
-    Scans ``panels`` uniform panels, then drives each bracket to width
-    ``xtol`` by bisection (vectorized across brackets).  Exact zeros on
-    panel edges are returned as-is; ``exclude_lo`` drops an exact zero at
-    the left endpoint (used where that zero is a known trivial solution).
+    Scans ``DEFAULT_SCAN_PANELS`` uniform panels, then drives each bracket
+    to width ``DEFAULT_BISECT_TOL`` by bisection (vectorized across
+    brackets).  Exact zeros on panel edges are returned as-is;
+    ``exclude_lo`` drops an exact zero at the left endpoint (used where
+    that zero is a known trivial solution).
     """
-    xs = np.linspace(lo, hi, panels + 1)
+    xs = np.linspace(lo, hi, DEFAULT_SCAN_PANELS + 1)
     fs = np.asarray(f(xs), dtype=float)
 
     roots = [float(x) for x, v in zip(xs, fs) if v == 0.0]
@@ -368,8 +360,8 @@ def _find_roots(
         lo_arr = b_lo.copy()
         hi_arr = b_hi.copy()
         flo = f_lo.copy()
-        width = (hi - lo) / panels
-        max_iter = max(1, int(math.ceil(math.log2(width / xtol))) + 2)
+        width = (hi - lo) / DEFAULT_SCAN_PANELS
+        max_iter = max(1, int(math.ceil(math.log2(width / DEFAULT_BISECT_TOL))) + 2)
         for _ in range(max_iter):
             mid = 0.5 * (lo_arr + hi_arr)
             fm = np.asarray(f(mid), dtype=float)
@@ -377,13 +369,13 @@ def _find_roots(
             hi_arr = np.where(take_left, mid, hi_arr)
             lo_arr = np.where(take_left, lo_arr, mid)
             flo = np.where(take_left, flo, fm)
-            if np.all(hi_arr - lo_arr <= xtol):
+            if np.all(hi_arr - lo_arr <= DEFAULT_BISECT_TOL):
                 break
         roots.extend((0.5 * (lo_arr + hi_arr)).tolist())
     return sorted(roots)
 
 
-def _illinois(f, a, b, fa, fb, xtol, max_iter=80) -> float:
+def _illinois(f, a, b, fa, fb, max_iter=80) -> float:
     """Bracketed scalar root by the Illinois variant of regula falsi."""
     if fa == 0.0:
         return a
@@ -395,7 +387,7 @@ def _illinois(f, a, b, fa, fb, xtol, max_iter=80) -> float:
         if not (min(a, b) < x < max(a, b)):
             x = 0.5 * (a + b)
         fx = float(f(x))
-        if fx == 0.0 or abs(b - a) <= xtol:
+        if fx == 0.0 or abs(b - a) <= DEFAULT_BISECT_TOL:
             return x
         if (fx > 0) == (fb > 0):
             b, fb = x, fx
@@ -403,7 +395,7 @@ def _illinois(f, a, b, fa, fb, xtol, max_iter=80) -> float:
         else:
             a, fa = b, fb
             b, fb = x, fx
-        if abs(b - a) <= xtol:
+        if abs(b - a) <= DEFAULT_BISECT_TOL:
             return 0.5 * (a + b)
     return 0.5 * (a + b)
 
@@ -413,9 +405,7 @@ def solve_radius(
     r: float,
     l: float,
     w: float,
-    quad: QuadratureSpec | None = None,
-    panels: int = DEFAULT_SCAN_PANELS,
-    xtol: float = DEFAULT_BISECT_TOL,
+    quad: QuadratureSpec = QuadratureSpec(),
 ) -> list[RadiusRoot]:
     """All admissible curvature radii for physical separation ``r``, step ``l``.
 
@@ -438,7 +428,7 @@ def solve_radius(
         lam_vec = np.asarray(lam_vec, dtype=float)
         return residual(problem, s * lam_vec, lam_vec, quad)
 
-    lam_roots = _find_roots(g, 0.0, lam_hi, panels, xtol, exclude_lo=True)
+    lam_roots = _find_roots(g, 0.0, lam_hi, exclude_lo=True)
     if not lam_roots:
         return []
     res = np.atleast_1d(g(np.array(lam_roots)))
@@ -470,12 +460,39 @@ def _match_roots_to_branches(
     return assigned
 
 
+def make_lambda_grid(
+    problem: CurvatureProblem,
+    lambda_star: float | None,
+    lambda_min: float | None,
+    lambda_max: float | None,
+    steps: int,
+) -> np.ndarray:
+    """The ``lam`` grid that ``curve`` and ``threshold`` trace.
+
+    ``steps`` evenly spaced values from ``lambda_min`` to ``lambda_max``.
+    Either bound may be ``None`` on its own: ``lambda_min`` then
+    defaults to 0.02 on the sphere and 0.05 on the hyperboloid, and
+    ``lambda_max`` to 98% of the axis crossing ``lambda_star``, or to
+    half the scan range when there is no crossing.
+    """
+    if lambda_min is None:
+        lambda_min = _LAMBDA_GRID_MIN[problem.geometry]
+    if lambda_max is None:
+        if lambda_star is not None:
+            lambda_max = 0.98 * lambda_star
+        else:
+            lambda_max = _LAMBDA_SCAN_MAX[problem.geometry] / 2.0
+    if not lambda_max > lambda_min:
+        raise ValueError("lambda grid is empty: need lambda_max > lambda_min")
+    if steps < 2:
+        raise ValueError("lambda_steps must be at least 2")
+    return np.linspace(lambda_min, lambda_max, steps)
+
+
 def trace_curve(
     problem: CurvatureProblem,
     lambda_grid,
-    quad: QuadratureSpec | None = None,
-    panels: int = DEFAULT_SCAN_PANELS,
-    xtol: float = DEFAULT_BISECT_TOL,
+    quad: QuadratureSpec = QuadratureSpec(),
 ) -> CurvatureCurve:
     """Solution points ``rho(lam)`` over a strictly increasing ``lambda_grid``.
 
@@ -504,7 +521,7 @@ def trace_curve(
             rho_vec = np.asarray(rho_vec, dtype=float)
             return residual(problem, rho_vec, np.full_like(rho_vec, lam), quad)
 
-        roots = _find_roots(phi_of_rho, 0.0, rho_hi, panels, xtol)
+        roots = _find_roots(phi_of_rho, 0.0, rho_hi)
         if not roots:
             continue
         res = np.atleast_1d(phi_of_rho(np.array(roots)))
@@ -526,10 +543,8 @@ def trace_curve(
     return CurvatureCurve(tuple(points))
 
 
-def _refine_scalar_root(
-    f, x0: float, lo_cap: float, hi_cap: float, xtol: float
-) -> float | None:
-    """Re-solve a root near ``x0`` for a new (finer) objective ``f``.
+def _refine_scalar_root(f, x0: float, hi_cap: float) -> float | None:
+    """Re-solve a root near ``x0`` in ``[0, hi_cap]`` for a finer objective.
 
     Looks for a sign change in a small bracket around ``x0``, widening a
     few times if needed; returns None when no bracket can be found (the
@@ -537,7 +552,7 @@ def _refine_scalar_root(
     """
     half = 1e-4 * max(1.0, abs(x0))
     for _ in range(8):
-        a = max(lo_cap, x0 - half)
+        a = max(0.0, x0 - half)
         b = min(hi_cap, x0 + half)
         fa = float(f(a))
         fb = float(f(b))
@@ -546,54 +561,64 @@ def _refine_scalar_root(
         if fb == 0.0:
             return b
         if (fa > 0) != (fb > 0):
-            return _illinois(f, a, b, fa, fb, xtol)
+            return _illinois(f, a, b, fa, fb)
         half *= 8.0
-        if a == lo_cap and b == hi_cap:
+        if a == 0.0 and b == hi_cap:
             break
     return None
+
+
+def _certify_root(phi, x: float, res: float | None, hi: float, n: int):
+    """Certify one root ``x`` of ``phi`` in ``[0, hi]``, escalating where needed.
+
+    ``phi(x, n)`` is the residual at ``x`` on ``n`` nodes per axis; ``x``
+    was solved on ``n`` nodes, where its residual is ``res``.  The root
+    certifies when its residual on twice as many nodes is within
+    ``CERTIFICATION_TOL``.  Otherwise it is re-solved on the doubled grid
+    and checked again, up to ``MAX_CERTIFY_NODES`` nodes per axis or until
+    the finer residual has no sign change near ``x``.  Returns
+    ``(x, res, cert, n)``: the root, its residual on the ``n`` nodes it
+    was last solved on, and its residual on ``2n``.
+    """
+    while True:
+        cert = float(phi(x, 2 * n))
+        if abs(cert) <= CERTIFICATION_TOL or n >= MAX_CERTIFY_NODES:
+            return x, res, cert, n
+        n *= 2
+        refined = _refine_scalar_root(lambda y: phi(y, n), x, hi)
+        if refined is None:
+            return x, res, cert, n
+        x = refined
+        res = float(phi(x, n))
 
 
 def certify_curve(
     problem: CurvatureProblem,
     curve: CurvatureCurve,
-    quad: QuadratureSpec | None = None,
-    tol: float = CERTIFICATION_TOL,
-    max_nodes: int = MAX_CERTIFY_NODES,
-    xtol: float = DEFAULT_BISECT_TOL,
+    quad: QuadratureSpec = QuadratureSpec(),
 ) -> CertifiedCurve:
     """Certify every traced point, escalating quadrature where needed.
 
     Each point is checked by re-evaluating its residual on a grid twice
     as fine as the grid it was solved on.  Points that fail are re-solved
-    on the doubled grid and re-checked, doubling up to ``max_nodes``
-    nodes per axis; this handles the crease the spherical integrand
-    develops where step geodesics wrap past the antipode, which degrades
-    the trapezoidal rule from spectral accuracy to a fixed algebraic
-    order locally.
+    on the doubled grid and re-checked, doubling up to
+    ``MAX_CERTIFY_NODES`` nodes per axis; this handles the crease the
+    spherical integrand develops where step geodesics wrap past the
+    antipode, which degrades the trapezoidal rule from spectral accuracy
+    to a fixed algebraic order locally.
     """
-    quad = _as_quad(quad)
     rho_hi = _RHO_MAX[problem.geometry]
     out_points: list[CurvePoint] = []
     certified: list[float] = []
     nodes_used: list[int] = []
     for pt in curve.points:
-        n = quad.nodes_per_axis
-        rho = pt.rho
-        res = pt.residual
-        while True:
-            cert = float(residual(problem, rho, pt.lam, QuadratureSpec(2 * n)))
-            if abs(cert) <= tol or n >= max_nodes:
-                break
-            n *= 2
 
-            def phi(x, _n=n):
-                return residual(problem, float(x), pt.lam, QuadratureSpec(_n))
+        def phi(x, n, lam=pt.lam):
+            return residual(problem, float(x), lam, QuadratureSpec(n))
 
-            refined = _refine_scalar_root(phi, rho, 0.0, rho_hi, xtol)
-            if refined is None:
-                break
-            rho = refined
-            res = float(phi(rho))
+        rho, res, cert, n = _certify_root(
+            phi, pt.rho, pt.residual, rho_hi, quad.nodes_per_axis
+        )
         out_points.append(
             CurvePoint(lam=pt.lam, rho=rho, residual=res, branch_id=pt.branch_id)
         )
@@ -606,26 +631,8 @@ def certify_curve(
     )
 
 
-def certified_residuals(
-    problem: CurvatureProblem,
-    points,
-    quad: QuadratureSpec | None = None,
-) -> np.ndarray:
-    """Residuals of curve points re-evaluated under a doubled quadrature grid."""
-    quad = _as_quad(quad)
-    pts = list(points)
-    if not pts:
-        return np.empty(0)
-    rho = np.array([p.rho for p in pts])
-    lam = np.array([p.lam for p in pts])
-    return np.atleast_1d(residual(problem, rho, lam, quad.doubled()))
-
-
 def axis_crossing(
-    problem: CurvatureProblem,
-    quad: QuadratureSpec | None = None,
-    panels: int = DEFAULT_SCAN_PANELS,
-    xtol: float = DEFAULT_BISECT_TOL,
+    problem: CurvatureProblem, quad: QuadratureSpec = QuadratureSpec()
 ) -> float | None:
     """Smallest positive root of ``F(0, lam) = w lam^2``, if any.
 
@@ -639,45 +646,28 @@ def axis_crossing(
         lam_vec = np.asarray(lam_vec, dtype=float)
         return residual(problem, np.zeros_like(lam_vec), lam_vec, quad)
 
-    roots = _find_roots(g, 0.0, lam_hi, panels, xtol, exclude_lo=True)
+    roots = _find_roots(g, 0.0, lam_hi, exclude_lo=True)
     return roots[0] if roots else None
 
 
 def certified_axis_crossing(
-    problem: CurvatureProblem,
-    quad: QuadratureSpec | None = None,
-    tol: float = CERTIFICATION_TOL,
-    max_nodes: int = MAX_CERTIFY_NODES,
-    panels: int = DEFAULT_SCAN_PANELS,
-    xtol: float = DEFAULT_BISECT_TOL,
+    problem: CurvatureProblem, quad: QuadratureSpec = QuadratureSpec()
 ) -> tuple[float, float, int] | None:
     """Axis crossing refined until it certifies: ``(lam_star, cert, nodes)``."""
-    quad = _as_quad(quad)
-    lam_star = axis_crossing(problem, quad, panels, xtol)
+    lam_star = axis_crossing(problem, quad)
     if lam_star is None:
         return None
-    n = quad.nodes_per_axis
-    lam_hi = _LAMBDA_SCAN_MAX[problem.geometry]
-    while True:
-        cert = float(residual(problem, 0.0, lam_star, QuadratureSpec(2 * n)))
-        if abs(cert) <= tol or n >= max_nodes:
-            return lam_star, cert, n
-        n *= 2
 
-        def g(x, _n=n):
-            return residual(problem, 0.0, float(x), QuadratureSpec(_n))
+    def phi(x, n):
+        return residual(problem, 0.0, float(x), QuadratureSpec(n))
 
-        refined = _refine_scalar_root(g, lam_star, 0.0, lam_hi, xtol)
-        if refined is None:
-            return lam_star, cert, n
-        lam_star = refined
+    lam_star, _, cert, n = _certify_root(
+        phi, lam_star, None, _LAMBDA_SCAN_MAX[problem.geometry], quad.nodes_per_axis
+    )
+    return lam_star, cert, n
 
 
-def _series_intercept(
-    problem: CurvatureProblem,
-    panels: int = DEFAULT_SCAN_PANELS,
-    xtol: float = DEFAULT_BISECT_TOL,
-) -> float | None:
+def _series_intercept(problem: CurvatureProblem) -> float | None:
     """Root of ``small_lambda_series(rho) = w``: the ``lam -> 0`` intercept."""
     geometry = problem.geometry
     if geometry is GeometryKind.SPHERICAL:
@@ -691,53 +681,40 @@ def _series_intercept(
             - problem.w
         )
 
-    roots = _find_roots(h, lo, hi, panels, xtol, exclude_lo=True)
+    roots = _find_roots(h, lo, hi, exclude_lo=True)
     return roots[0] if roots else None
-
-
-def _default_threshold_grid(
-    problem: CurvatureProblem, lambda_star: float | None
-) -> np.ndarray:
-    lam_min = 0.02 if problem.geometry is GeometryKind.SPHERICAL else 0.05
-    if lambda_star is not None:
-        lam_max = 0.98 * lambda_star
-    else:
-        lam_max = 0.5 * _LAMBDA_SCAN_MAX[problem.geometry]
-    lam_max = max(lam_max, 4.0 * lam_min)
-    return np.linspace(lam_min, lam_max, 40)
 
 
 def extract_thresholds(
     problem: CurvatureProblem,
-    quad: QuadratureSpec | None = None,
-    lambda_grid=None,
-    panels: int = DEFAULT_SCAN_PANELS,
-    xtol: float = DEFAULT_BISECT_TOL,
+    quad: QuadratureSpec = QuadratureSpec(),
+    lambda_min: float | None = None,
+    lambda_max: float | None = None,
+    lambda_steps: int = DEFAULT_LAMBDA_STEPS,
 ) -> ThresholdReport:
     """Endpoints, ratio bounds and the 0.64 comparison for one problem.
 
     ``lambda_star`` is the certified axis crossing of ``F(0, lam) = w lam^2``
     (the value ``curve`` appends as its axis row); ``rho0`` the small-step
-    intercept from the series condition.  Ratio
-    extrema of ``lam / rho`` are taken per traced branch over the grid
-    (the default grid spans from near zero up to just below the axis
-    crossing).  The comparison status is ``consistent`` when some
-    branch's infimum of ``lam / rho`` falls within +/-0.02 of the
-    reference value 0.64, else ``discrepant``; the report is emitted
-    either way.
+    intercept from the series condition.  The curve is traced over
+    ``make_lambda_grid``'s grid, the one ``curve`` traces for the same
+    bounds; its points are not certified.  Ratio extrema of
+    ``lam / rho`` are taken per traced branch over that grid.  The
+    comparison status is ``consistent`` when some branch's infimum of
+    ``lam / rho`` falls within +/-0.02 of the reference value 0.64, else
+    ``discrepant``; the report is emitted either way.
     """
-    axis = certified_axis_crossing(problem, quad, panels=panels, xtol=xtol)
+    axis = certified_axis_crossing(problem, quad)
     lambda_star = axis[0] if axis is not None else None
-    rho0 = _series_intercept(problem, panels, xtol)
-    if lambda_grid is None:
-        lambda_grid = _default_threshold_grid(problem, lambda_star)
-    curve = trace_curve(problem, lambda_grid, quad, panels, xtol)
+    rho0 = _series_intercept(problem)
+    grid = make_lambda_grid(problem, lambda_star, lambda_min, lambda_max, lambda_steps)
+    curve = trace_curve(problem, grid, quad)
 
-    ratio_extrema: dict[int, tuple[float, float]] = {}
-    for bid, pts in curve.branches().items():
-        ratios = [p.lam / p.rho for p in pts if p.rho > 0.0]
-        if ratios:
-            ratio_extrema[bid] = (min(ratios), max(ratios))
+    ratios: dict[int, list[float]] = {}
+    for image in figure3_transform(curve):
+        if image is not None:
+            ratios.setdefault(image.branch_id, []).append(image.l_over_r)
+    ratio_extrema = {bid: (min(r), max(r)) for bid, r in ratios.items()}
 
     nu_slope = None
     if problem.geometry is GeometryKind.HYPERBOLIC and curve.points:
@@ -773,23 +750,17 @@ def extract_thresholds(
     )
 
 
-def figure3_transform(curve: CurvatureCurve) -> Figure3Result:
+def figure3_transform(curve: CurvatureCurve) -> tuple[Figure3Point | None, ...]:
     """Map traced points ``(lam, rho)`` to ``(l/r, R/r) = (lam/rho, 1/rho)``.
 
-    Points on the ``rho = 0`` axis have no finite image and are returned
-    separately in ``dropped``.
+    The result lines up with ``curve.points``.  Points on the ``rho = 0``
+    axis have no finite image and map to ``None``.
     """
-    points: list[Figure3Point] = []
-    dropped: list[CurvePoint] = []
-    for pt in curve.points:
-        if pt.rho > 0.0:
-            points.append(
-                Figure3Point(
-                    l_over_r=pt.lam / pt.rho,
-                    R_over_r=1.0 / pt.rho,
-                    branch_id=pt.branch_id,
-                )
-            )
-        else:
-            dropped.append(pt)
-    return Figure3Result(points=tuple(points), dropped=tuple(dropped))
+    return tuple(
+        Figure3Point(
+            l_over_r=pt.lam / pt.rho, R_over_r=1.0 / pt.rho, branch_id=pt.branch_id
+        )
+        if pt.rho > 0.0
+        else None
+        for pt in curve.points
+    )

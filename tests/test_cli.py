@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 import entwalk.walk
-from entwalk.cli import main
+from entwalk.cli import RunConfig, _build_config, build_parser, main
 
 
 def run_cli(argv):
@@ -189,15 +190,51 @@ def test_threshold_hyperbolic_report(tmp_path):
     assert payload["paper_value"] == 0.64
 
 
-def test_threshold_rejects_a_lone_grid_bound(tmp_path, capsys):
-    assert run_cli(["threshold", "--lambda-min", "0.3"]) == 2
-    assert run_cli(["threshold", "--lambda-max", "0.3"]) == 2
+def threshold_report(tmp_path, name, *args):
+    out = tmp_path / name
+    assert run_cli(["threshold", *args, "--out", str(out)]) == 0
+    return json.loads(out.read_text())
+
+
+def test_threshold_honours_a_lone_grid_bound(tmp_path):
+    # the other end takes curve's default: 0.98 lambda* on top, 0.02 below
+    steps = ["--lambda-steps", "4"]
+    lone_min = threshold_report(tmp_path, "min.json", "--lambda-min", "0.3", *steps)
+    top = repr(0.98 * lone_min["lambda_star"])
+    assert lone_min == threshold_report(
+        tmp_path, "min_top.json", "--lambda-min", "0.3", "--lambda-max", top, *steps
+    )
+    default = threshold_report(tmp_path, "default.json", *steps)
+    assert lone_min["ratio_inf"] != default["ratio_inf"]
+
+    lone_max = threshold_report(tmp_path, "max.json", "--lambda-max", "0.3", *steps)
+    assert lone_max == threshold_report(
+        tmp_path, "bottom_max.json", "--lambda-min", "0.02", "--lambda-max", "0.3",
+        *steps,
+    )
+    assert lone_max["ratio_sup"] != default["ratio_sup"]
+
     cfg = tmp_path / "grid.cfg"
     cfg.write_text("lambda_min=0.3\n")
-    assert run_cli(["threshold", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 3
-    assert all(line.startswith("error:") for line in err)
+    assert threshold_report(tmp_path, "cfg.json", "--config", str(cfg), *steps) == (
+        lone_min
+    )
+    assert run_cli(["threshold", "--lambda-steps", "1"]) == 2
+
+
+def test_threshold_reads_the_curve_grid(tmp_path):
+    # both commands trace the same default grid; no point escalates at
+    # small lam, so the traced and certified values agree exactly
+    common = ["--geometry", "hyperbolic", "--lambda-steps", "5"]
+    out = tmp_path / "curve.csv"
+    assert run_cli(["curve", *common, "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    payload = threshold_report(tmp_path, "thr.json", *common)
+    (lam0, rho0), (lam1, rho1) = [(float(r[0]), float(r[1])) for r in rows[:2]]
+    assert payload["nu_slope"] == (rho1 - rho0) / (lam1 - lam0)
+    assert payload["ratio_inf"] == float(rows[0][4])
+    axis_rows = [row for row in rows if row[4] == ""]
+    assert payload["lambda_star"] == float(axis_rows[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +253,23 @@ def test_config_file_with_flag_override(tmp_path):
     assert rows[0][0] == "minus"
     assert float(rows[0][1]) == 0.25  # flag beats config
     assert rows[0][7] == "50000"
+
+
+_RAW_VALUES = {"int": ("7", 7), "float": ("0.25", 0.25), "str": ("abc", "abc")}
+
+
+@pytest.mark.parametrize(
+    "field", dataclasses.fields(RunConfig), ids=lambda f: f.name
+)
+def test_every_run_config_field_is_a_config_key(tmp_path, field):
+    declared = field.type.split(" | ")[0]  # annotated "T" or "T | None"
+    raw, expected = _RAW_VALUES[declared]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"{field.name}={raw}\n")
+    cfg = _build_config(build_parser().parse_args(["msd", "--config", str(path)]))
+    value = getattr(cfg, field.name)
+    assert type(value).__name__ == declared
+    assert value == expected
 
 
 def test_config_file_unknown_key_is_usage_error(tmp_path):

@@ -15,7 +15,6 @@ from entwalk.solver import (
     axis_crossing,
     certified_axis_crossing,
     certify_curve,
-    certified_residuals,
     extract_thresholds,
     figure3_transform,
     mean_sq_step,
@@ -277,14 +276,18 @@ def test_trace_branch_linking_is_stable():
 
 def test_certified_residuals_smooth_region():
     curve = trace_curve(SPH_W1, [0.1, 0.3, 0.5])
-    cert = certified_residuals(SPH_W1, curve.points)
+    rho = np.array([p.rho for p in curve.points])
+    lam = np.array([p.lam for p in curve.points])
+    cert = residual(SPH_W1, rho, lam, QuadratureSpec(256))
     assert np.max(np.abs(cert)) <= 1e-10
 
 
 def test_certify_curve_escalates_through_the_crease():
     # rho + 2 lam > pi here: plain doubling fails, escalation must kick in
     curve = trace_curve(SPH_W1, [1.0])
-    base_cert = certified_residuals(SPH_W1, curve.points)
+    rho = np.array([p.rho for p in curve.points])
+    lam = np.array([p.lam for p in curve.points])
+    base_cert = residual(SPH_W1, rho, lam, QuadratureSpec(256))
     assert np.max(np.abs(base_cert)) > 1e-8  # the reason escalation exists
     certified = certify_curve(SPH_W1, curve)
     assert certified.all_within(1e-8)
@@ -321,7 +324,9 @@ def test_certified_axis_crossing_both_geometries():
 
 
 def test_extract_thresholds_spherical():
-    report = extract_thresholds(SPH_W1, lambda_grid=np.linspace(0.05, 0.6, 6))
+    report = extract_thresholds(
+        SPH_W1, lambda_min=0.05, lambda_max=0.6, lambda_steps=6
+    )
     assert report.rho0 == pytest.approx(math.pi / 2, abs=1e-9)
     assert 1.5 < report.lambda_star < 2.0
     assert report.nu_slope is None
@@ -333,7 +338,9 @@ def test_extract_thresholds_spherical():
 
 
 def test_extract_thresholds_hyperbolic():
-    report = extract_thresholds(HYP_W3, lambda_grid=np.linspace(0.05, 0.3, 4))
+    report = extract_thresholds(
+        HYP_W3, lambda_min=0.05, lambda_max=0.3, lambda_steps=4
+    )
     assert report.rho0 == pytest.approx(RHO0_HYP, abs=1e-9)
     assert report.rho0 == pytest.approx(1.91501, abs=1e-4)
     assert report.nu_slope is not None
@@ -342,12 +349,16 @@ def test_extract_thresholds_hyperbolic():
 
 @pytest.mark.parametrize("problem", [SPH_W1, HYP_W3])
 def test_threshold_lambda_star_is_the_certified_axis_crossing(problem):
-    report = extract_thresholds(problem, lambda_grid=np.linspace(0.05, 0.2, 3))
+    report = extract_thresholds(
+        problem, lambda_min=0.05, lambda_max=0.2, lambda_steps=3
+    )
     assert report.lambda_star == certified_axis_crossing(problem)[0]
 
 
 def test_rho0_root_is_consistent_with_series_condition():
-    report = extract_thresholds(HYP_W3, lambda_grid=np.linspace(0.05, 0.2, 3))
+    report = extract_thresholds(
+        HYP_W3, lambda_min=0.05, lambda_max=0.2, lambda_steps=3
+    )
     rho0 = report.rho0
     assert abs(rho0 / math.tanh(rho0) - 2.0) < 1e-9
 
@@ -355,7 +366,7 @@ def test_rho0_root_is_consistent_with_series_condition():
 def test_rho0_absent_at_flat_weight():
     # w = 2 pairs with the flat law; the series condition has no root
     report = extract_thresholds(
-        CurvatureProblem(S, 2.0), lambda_grid=np.linspace(0.05, 0.2, 3)
+        CurvatureProblem(S, 2.0), lambda_min=0.05, lambda_max=0.2, lambda_steps=3
     )
     assert report.rho0 is None
 
@@ -372,14 +383,17 @@ def test_figure3_pointwise_values():
             CurvePoint(lam=1.7, rho=0.0, residual=0.0, branch_id=0),
         )
     )
-    result = figure3_transform(curve)
-    assert len(result.points) == 2
-    assert result.points[0].l_over_r == pytest.approx(0.5)
-    assert result.points[0].R_over_r == pytest.approx(1.0)
-    assert result.points[1].l_over_r == pytest.approx(2.0)
-    assert result.points[1].R_over_r == pytest.approx(2.0)
-    assert len(result.dropped) == 1
-    assert result.dropped[0].lam == 1.7
+    images = figure3_transform(curve)
+    assert len(images) == len(curve.points)
+    points = [image for image in images if image is not None]
+    dropped = [pt for pt, image in zip(curve.points, images) if image is None]
+    assert len(points) == 2
+    assert points[0].l_over_r == pytest.approx(0.5)
+    assert points[0].R_over_r == pytest.approx(1.0)
+    assert points[1].l_over_r == pytest.approx(2.0)
+    assert points[1].R_over_r == pytest.approx(2.0)
+    assert len(dropped) == 1
+    assert dropped[0].lam == 1.7
 
 
 @given(
@@ -388,6 +402,6 @@ def test_figure3_pointwise_values():
 )
 def test_figure3_algebraic_identity(lam, rho):
     curve = CurvatureCurve((CurvePoint(lam, rho, 0.0, 0),))
-    pt = figure3_transform(curve).points[0]
+    pt = figure3_transform(curve)[0]
     assert pt.R_over_r * rho == pytest.approx(1.0, abs=1e-12)
     assert pt.R_over_r == pytest.approx(pt.l_over_r / lam, rel=1e-12)
