@@ -34,14 +34,15 @@ def main() -> None:
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    common = ["--seed", str(args.seed), "--quad-nodes", str(args.quad_nodes)]
+    seed = ["--seed", str(args.seed)]
+    curve = [*seed, "--p", "1.0", "--quad-nodes", str(args.quad_nodes)]
 
-    run(["msd", "--samples", "1000000", *common,
+    run(["msd", "--samples", "1000000", *seed,
          "--out", str(out_dir / "msd.csv")])
     for geometry in ("spherical", "hyperbolic"):
-        run(["curve", "--geometry", geometry, "--p", "1.0", *common,
+        run(["curve", "--geometry", geometry, *curve,
              "--out", str(out_dir / f"curve_{geometry}.csv")])
-        run(["threshold", "--geometry", geometry, "--p", "1.0", *common,
+        run(["threshold", "--geometry", geometry, *curve,
              "--out", str(out_dir / f"threshold_{geometry}.json")])
     print(f"wrote {out_dir}/msd.csv, curve_*.csv, threshold_*.json")
 

@@ -6,8 +6,8 @@ The package has four layers:
   measurements along planar axes, with a mixing parameter ``p``, and the
   matching samplers.
 * :mod:`entwalk.walk` -- two-agent random walk built on those signs:
-  single steps, analytic mean-square separation laws, Monte Carlo
-  estimators and reproducible ensembles.
+  analytic mean-square separation laws, Monte Carlo estimators and
+  reproducible chunk-seeded ensembles.
 * :mod:`entwalk.geometry` -- single geodesic steps on the unit sphere and
   the unit hyperboloid, both as an explicit frame-and-rotation
   construction and as closed-form step-distance laws.
@@ -19,22 +19,12 @@ The package has four layers:
 ``simulate``, ``curve``, ``threshold`` and ``verify`` subcommands.
 """
 
-from .correlations import (
-    PlanarDirection,
-    SignPair,
-    WernerParameter,
-    outcome_probability,
-    sample_direction,
-    sample_outcomes,
-)
+from .correlations import outcome_probability
 from .geometry import (
     DegenerateConfigurationError,
     Frame,
     GeometryKind,
-    ScaledConfiguration,
     build_frames,
-    closed_form_step_distance,
-    construction_step_distance,
 )
 from .solver import (
     CurvatureCurve,
@@ -54,41 +44,29 @@ from .walk import (
     EnsembleResult,
     Protocol,
     ProtocolSpec,
-    StepOutcome,
     WalkState,
     expected_sq_separation,
     mc_sq_separation,
     run_ensemble,
-    step,
     weight,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "PlanarDirection",
-    "SignPair",
-    "WernerParameter",
     "outcome_probability",
-    "sample_direction",
-    "sample_outcomes",
     "Protocol",
     "ProtocolSpec",
     "WalkState",
-    "StepOutcome",
     "EnsembleResult",
     "weight",
     "expected_sq_separation",
     "mc_sq_separation",
-    "step",
     "run_ensemble",
     "GeometryKind",
-    "ScaledConfiguration",
     "Frame",
     "DegenerateConfigurationError",
     "build_frames",
-    "construction_step_distance",
-    "closed_form_step_distance",
     "QuadratureSpec",
     "CurvatureProblem",
     "CurvePoint",

@@ -19,12 +19,15 @@ Subcommands
 ``verify``
     Named self-checks spanning all layers; exit 0 only if all pass.
 
+Each subcommand takes ``--seed``, ``--out`` and ``--config`` plus only
+the flags it reads (``_COMMANDS``); any other flag is a usage error.
+
 Exit codes: 0 success, 1 check or certification failure, 2 usage or
 configuration error.  A flat ``key=value`` config file can seed any
-option; explicit command-line flags win.  The default seed is 0, so the
-default run of every subcommand is reproducible; outputs are pure
-functions of the configuration and are byte-identical across reruns and
-worker counts.
+option, whichever subcommand reads it, so one file can serve several;
+explicit command-line flags win.  The default seed is 0, so the default
+run of every subcommand is reproducible; outputs are pure functions of
+the configuration and are byte-identical across reruns.
 """
 
 from __future__ import annotations
@@ -39,12 +42,7 @@ import typing
 import numpy as np
 
 from . import geometry, solver, walk
-from .correlations import (
-    PlanarDirection,
-    SignPair,
-    WernerParameter,
-    outcome_probability,
-)
+from .correlations import TWO_PI, outcome_probability
 from .geometry import GeometryKind
 from .solver import CurvatureProblem, QuadratureSpec
 from .walk import Protocol, ProtocolSpec, WalkState
@@ -76,7 +74,6 @@ class RunConfig:
     lambda_min: float | None = None
     lambda_max: float | None = None
     lambda_steps: int = solver.DEFAULT_LAMBDA_STEPS
-    workers: int = 1
     out: str | None = None
 
     @property
@@ -218,7 +215,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
         cfg.walkers,
         cfg.meeting_radius,
         seed=cfg.seed,
-        n_workers=cfg.workers,
     )
     rows = [
         [str(t), _fmt(result.mean_r2[t]), _fmt(result.meeting_fraction[t])]
@@ -322,39 +318,23 @@ _VERIFY_MSD_Z_BOUND = 4.0
 
 def _check_normalization(cfg: RunConfig) -> tuple[bool, str]:
     rng = np.random.default_rng([cfg.seed, 1])
-    worst_norm = 0.0
-    worst_marginal = 0.0
-    worst_rotation = 0.0
-    for _ in range(200):
-        a, b, offset = rng.uniform(0.0, 2.0 * math.pi, 3)
-        p = WernerParameter(rng.uniform(0.0, 1.0))
-        probs = {}
-        for sa in (-1, 1):
-            for sb in (-1, 1):
-                probs[sa, sb] = outcome_probability(
-                    SignPair(sa, sb), PlanarDirection(a), PlanarDirection(b), p
-                )
-        worst_norm = max(worst_norm, abs(sum(probs.values()) - 1.0))
-        for sa in (-1, 1):
-            worst_marginal = max(
-                worst_marginal, abs(probs[sa, -1] + probs[sa, 1] - 0.5)
-            )
-        shifted = outcome_probability(
-            SignPair(1, -1),
-            PlanarDirection(a + offset),
-            PlanarDirection(b + offset),
-            p,
-        )
-        worst_rotation = max(
-            worst_rotation,
-            abs(
-                shifted
-                - outcome_probability(
-                    SignPair(1, -1), PlanarDirection(a), PlanarDirection(b), p
-                )
-            ),
-        )
-    worst = max(worst_norm, worst_marginal, worst_rotation)
+    a, b, offset = rng.uniform(0.0, TWO_PI, (3, 200))
+    p = rng.uniform(0.0, 1.0, 200)
+    # rows: the four sign pairs, then (+1, -1) with both axes rotated
+    delta = a - b
+    rotated = (a + offset) % TWO_PI - (b + offset) % TWO_PI
+    mm, mp, pm, pp, pm_rotated = outcome_probability(
+        np.array([[-1], [-1], [1], [1], [1]]),
+        np.array([[-1], [1], [-1], [1], [-1]]),
+        np.stack([delta, delta, delta, delta, rotated]),
+        p,
+    )
+    worst = float(np.max(np.abs([
+        mm + mp + pm + pp - 1.0,
+        mm + mp - 0.5,
+        pm + pp - 0.5,
+        pm_rotated - pm,
+    ])))
     return worst <= 1e-15, f"max deviation {worst:.2e} (bound 1e-15)"
 
 
@@ -464,50 +444,59 @@ def cmd_verify(cfg: RunConfig) -> int:
 # argument parsing
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, help="master seed (default 0)")
-    sub.add_argument("--out", type=str, help="output path (default stdout)")
-    sub.add_argument("--config", type=str, help="key=value config file")
-    sub.add_argument("--quad-nodes", dest="quad_nodes", type=int,
-                     help="quadrature nodes per axis (default 128)")
-    sub.add_argument("--protocol", choices=sorted(_PROTOCOLS),
-                     help="step protocol")
-    sub.add_argument("--p", type=float, help="mixing parameter in [0, 1]")
-    sub.add_argument("--r", type=float, help="initial separation (default 1)")
-    sub.add_argument("--l", type=float, help="step length (default 0.5)")
-    sub.add_argument("--geometry", choices=sorted(_GEOMETRIES),
-                     help="surface geometry for curve/threshold")
-    sub.add_argument("--w", type=float,
-                     help="explicit right-hand-side weight (default from protocol)")
-    sub.add_argument("--lambda-min", dest="lambda_min", type=float,
-                     help="smallest scaled step in the curve grid")
-    sub.add_argument("--lambda-max", dest="lambda_max", type=float,
-                     help="largest scaled step in the curve grid")
-    sub.add_argument("--lambda-steps", dest="lambda_steps", type=int,
-                     help="number of curve grid points (default 32)")
-    sub.add_argument("--samples", type=int,
-                     help="Monte Carlo sample count (default 1000000)")
-    sub.add_argument("--steps", type=int, help="ensemble steps (default 100)")
-    sub.add_argument("--walkers", type=int, help="ensemble walkers (default 1000)")
-    sub.add_argument("--epsilon", type=float,
-                     help="meeting radius (default 0.1 * l)")
-    sub.add_argument("--workers", type=int, help="worker threads (default 1)")
-
-
-_COMMANDS = {
-    "msd": cmd_msd,
-    "simulate": cmd_simulate,
-    "curve": cmd_curve,
-    "threshold": cmd_threshold,
-    "verify": cmd_verify,
+_FLAGS = {
+    "--seed": dict(type=int, help="master seed (default 0)"),
+    "--out": dict(type=str, help="output path (default stdout)"),
+    "--config": dict(type=str, help="key=value config file"),
+    "--quad-nodes": dict(type=int, help="quadrature nodes per axis (default 128)"),
+    "--protocol": dict(choices=sorted(_PROTOCOLS), help="step protocol"),
+    "--p": dict(type=float, help="mixing parameter in [0, 1]"),
+    "--r": dict(type=float, help="initial separation (default 1)"),
+    "--l": dict(type=float, help="step length (default 0.5)"),
+    "--geometry": dict(choices=sorted(_GEOMETRIES), help="surface geometry"),
+    "--w": dict(type=float,
+                help="explicit right-hand-side weight (default from protocol)"),
+    "--lambda-min": dict(type=float, help="smallest scaled step in the curve grid"),
+    "--lambda-max": dict(type=float, help="largest scaled step in the curve grid"),
+    "--lambda-steps": dict(type=int,
+                           help="number of curve grid points (default 32)"),
+    "--samples": dict(type=int, help="Monte Carlo sample count (default 1000000)"),
+    "--steps": dict(type=int, help="ensemble steps (default 100)"),
+    "--walkers": dict(type=int, help="ensemble walkers (default 1000)"),
+    "--epsilon": dict(type=float, help="meeting radius (default 0.1 * l)"),
 }
 
-_COMMAND_HELP = {
-    "msd": "single-step mean-square separation: Monte Carlo vs analytic",
-    "simulate": "multi-step two-walker ensemble trajectory statistics",
-    "curve": "trace and certify the curvature-equation solution curve",
-    "threshold": "endpoint and ratio-bound report for one geometry",
-    "verify": "run the named self-check suite",
+_COMMON_FLAGS = ("--seed", "--out", "--config")
+_CURVE_FLAGS = ("--geometry", "--p", "--w", "--quad-nodes",
+                "--lambda-min", "--lambda-max", "--lambda-steps")
+
+#: name: (handler, help, the flags it reads besides the common ones)
+_COMMANDS = {
+    "msd": (
+        cmd_msd,
+        "single-step mean-square separation: Monte Carlo vs analytic",
+        ("--protocol", "--p", "--r", "--l", "--samples"),
+    ),
+    "simulate": (
+        cmd_simulate,
+        "multi-step two-walker ensemble trajectory statistics",
+        ("--protocol", "--p", "--r", "--l", "--steps", "--walkers", "--epsilon"),
+    ),
+    "curve": (
+        cmd_curve,
+        "trace and certify the curvature-equation solution curve",
+        _CURVE_FLAGS,
+    ),
+    "threshold": (
+        cmd_threshold,
+        "endpoint and ratio-bound report for one geometry",
+        _CURVE_FLAGS,
+    ),
+    "verify": (
+        cmd_verify,
+        "run the named self-check suite",
+        ("--p", "--r", "--l", "--samples", "--quad-nodes"),
+    ),
 }
 
 
@@ -517,9 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Correlated two-walker steps and their curved-surface models.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sub = subparsers.add_parser(name, help=_COMMAND_HELP[name])
-        _add_common(sub)
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        sub = subparsers.add_parser(name, help=help_text)
+        for flag in _COMMON_FLAGS + flags:
+            sub.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -528,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -11,80 +11,37 @@ with ``delta`` the angle between the two axes.  Directions are kept as
 angles rather than 2-vectors so the dot product is a single cosine and
 cannot drift off the unit circle.
 
-All samplers take an explicit ``numpy.random.Generator``; nothing in this
+The sampler takes an explicit ``numpy.random.Generator``; nothing in this
 module owns global random state.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class PlanarDirection:
-    """Unit direction in the plane, stored as its polar angle in [0, 2pi)."""
-
-    angle: float
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.angle):
-            raise ValueError(f"direction angle must be finite, got {self.angle}")
-        object.__setattr__(self, "angle", float(self.angle) % TWO_PI)
-
-    @property
-    def unit_vector(self) -> np.ndarray:
-        return np.array([math.cos(self.angle), math.sin(self.angle)])
-
-
-@dataclass(frozen=True)
-class SignPair:
-    """One joint outcome: both fields are exactly +1 or -1."""
-
-    sigma_a: int
-    sigma_b: int
-
-    def __post_init__(self) -> None:
-        if self.sigma_a not in (-1, 1) or self.sigma_b not in (-1, 1):
-            raise ValueError(
-                f"signs must be +1 or -1, got ({self.sigma_a}, {self.sigma_b})"
-            )
-
-
-@dataclass(frozen=True)
-class WernerParameter:
-    """Mixing weight in [0, 1]: 1 = fully correlated pair, 0 = fair coins."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.p, (int, float)) and 0.0 <= self.p <= 1.0):
-            raise ValueError(f"mixing parameter must lie in [0, 1], got {self.p}")
-        object.__setattr__(self, "p", float(self.p))
-
-
 def outcome_probability(
-    pair: SignPair,
-    n_a: PlanarDirection,
-    n_b: PlanarDirection,
-    p: WernerParameter,
-) -> float:
-    """Probability of ``pair`` when measuring along ``n_a`` and ``n_b``.
+    sigma_a: np.ndarray,
+    sigma_b: np.ndarray,
+    delta: np.ndarray,
+    p: np.ndarray,
+) -> np.ndarray:
+    """Probability of the signs ``(sigma_a, sigma_b)`` for axes ``delta`` apart.
 
-    The four probabilities for fixed directions sum to 1 and each
-    single-side marginal is exactly 1/2 for any mixing parameter.
+    Broadcasts over its arguments.  The four probabilities for fixed
+    axes sum to 1 and each single-side marginal is exactly 1/2 for any
+    mixing parameter.
     """
-    delta = n_a.angle - n_b.angle
-    return 0.25 * (1.0 - p.p * pair.sigma_a * pair.sigma_b * math.cos(delta))
-
-
-def sample_direction(rng: np.random.Generator) -> PlanarDirection:
-    """Draw a direction with angle uniform on [0, 2pi)."""
-    return PlanarDirection(rng.uniform(0.0, TWO_PI))
+    sigma_a, sigma_b, p = (np.asarray(a) for a in (sigma_a, sigma_b, p))
+    if not np.all((0.0 <= p) & (p <= 1.0)):
+        raise ValueError(f"mixing parameter must lie in [0, 1], got {p}")
+    if not np.all((np.abs(sigma_a) == 1) & (np.abs(sigma_b) == 1)):
+        raise ValueError(f"signs must be +1 or -1, got ({sigma_a}, {sigma_b})")
+    return 0.25 * (1.0 - p * sigma_a * sigma_b * np.cos(delta))
 
 
 def sample_sign_arrays(
@@ -106,15 +63,3 @@ def sample_sign_arrays(
     sigma_b = np.where(rng.random(delta.shape) < p_anti, -sigma_a, sigma_a)
     return sigma_a, sigma_b
 
-
-def sample_outcomes(
-    n_a: PlanarDirection,
-    n_b: PlanarDirection,
-    p: WernerParameter,
-    rng: np.random.Generator,
-) -> SignPair:
-    """Draw one correlated sign pair for the given measurement axes."""
-    sigma_a, sigma_b = sample_sign_arrays(
-        np.asarray(n_a.angle - n_b.angle), p.p, rng
-    )
-    return SignPair(int(sigma_a), int(sigma_b))

@@ -59,27 +59,6 @@ class DegenerateConfigurationError(ValueError):
 
 
 @dataclass(frozen=True)
-class ScaledConfiguration:
-    """One two-agent step configuration in curvature-radius units."""
-
-    rho: float
-    lam: float
-    phi_a: float
-    phi_b: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rho) and self.rho >= 0.0):
-            raise ValueError(f"rho must be finite and nonnegative, got {self.rho}")
-        if not (math.isfinite(self.lam) and self.lam >= 0.0):
-            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
-        for name in ("phi_a", "phi_b"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, float(value) % TWO_PI)
-
-
-@dataclass(frozen=True)
 class Frame:
     """Embedded point with its two tangent basis vectors."""
 
@@ -251,16 +230,6 @@ def construction_distances(
     return _invert_cosh(minkowski_dot(moved_a, moved_b), scale)
 
 
-def construction_step_distance(
-    cfg: ScaledConfiguration, geometry: GeometryKind
-) -> float:
-    """Post-step separation via the explicit construction (scalar form)."""
-    build_frames(cfg.rho, geometry)  # validates and raises on degeneracy
-    return float(
-        construction_distances(geometry, cfg.rho, cfg.lam, cfg.phi_a, cfg.phi_b)
-    )
-
-
 def closed_form_distances(
     geometry: GeometryKind,
     rho: np.ndarray,
@@ -301,11 +270,3 @@ def closed_form_distances(
     )
     return _invert_cosh(x, np.cosh(rho) * cl * cl)
 
-
-def closed_form_step_distance(
-    cfg: ScaledConfiguration, geometry: GeometryKind
-) -> float:
-    """Post-step separation via the closed-form step law (scalar form)."""
-    return float(
-        closed_form_distances(geometry, cfg.rho, cfg.lam, cfg.phi_a, cfg.phi_b)
-    )

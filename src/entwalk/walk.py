@@ -17,33 +17,29 @@ so ``w(plus) + w(minus) = 4`` for every mixing parameter.  These closed
 forms are gated in the test suite by a brute-force direction-grid oracle
 before anything downstream trusts them.
 
-Ensembles derive one independent substream per walker from
-``(master seed, walker index)``, so results are a pure function of the
-seed and parameters, independent of chunk scheduling or worker count.
+Ensembles split the walkers into fixed chunks of ``_WALKER_CHUNK``:
+walkers ``[256 c, 256 c + 256)`` draw from one substream,
+``default_rng([seed, c])``, and consume it in blocks of ``_STEP_BLOCK``
+steps, each block one step-major array draw.  Both sizes are constants
+of the stream layout, so results are a pure function of the seed and
+parameters, and memory per chunk stays bounded whatever the step and
+walker counts.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import (
-    TWO_PI,
-    PlanarDirection,
-    SignPair,
-    WernerParameter,
-    sample_direction,
-    sample_outcomes,
-    sample_sign_arrays,
-)
+from .correlations import TWO_PI, sample_sign_arrays
 
-# Fixed walker chunk size: chunk boundaries must never depend on the
-# worker count, or float summation order would change with it.
-_ENSEMBLE_CHUNK = 256
+# The ensemble's stream layout: walkers per substream and steps per
+# array draw.  Changing either changes every ensemble output.
+_WALKER_CHUNK = 256
+_STEP_BLOCK = 256
 
 _MIN_MC_SAMPLES = 1000
 
@@ -116,28 +112,6 @@ class WalkState:
         return float(np.hypot(*(self.pos_a - self.pos_b)))
 
 
-@dataclass(frozen=True)
-class StepOutcome:
-    """Result of one simultaneous step: ``|r' - r| <= 2 l`` always holds."""
-
-    new_state: WalkState
-    r_prime: float
-    signs: SignPair
-    directions: tuple[PlanarDirection, PlanarDirection]
-
-
-def step(state: WalkState, proto: ProtocolSpec, rng: np.random.Generator) -> StepOutcome:
-    """Advance both agents by one simultaneous step of length ``l``."""
-    n_a = sample_direction(rng)
-    n_b = sample_direction(rng)
-    signs = sample_outcomes(n_a, n_b, WernerParameter(proto.effective_p), rng)
-    l = state.step_length
-    new_a = state.pos_a + l * signs.sigma_a * n_a.unit_vector
-    new_b = state.pos_b + l * proto.b_step_sign * signs.sigma_b * n_b.unit_vector
-    new_state = WalkState(new_a, new_b, l)
-    return StepOutcome(new_state, new_state.separation, signs, (n_a, n_b))
-
-
 def expected_sq_separation(r: float, l: float, proto: ProtocolSpec) -> float:
     """Analytic mean-square separation after one step from separation ``r``."""
     if r < 0.0:
@@ -206,25 +180,45 @@ class EnsembleResult:
 
 
 def _chunk_stats(
-    start: int,
-    stop: int,
-    seed: int,
+    rng: np.random.Generator,
+    n_walkers: int,
     sep0: np.ndarray,
     l: float,
     proto: ProtocolSpec,
     n_steps: int,
     meeting_radius: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    r2_sum = np.zeros(n_steps + 1)
-    met_count = np.zeros(n_steps + 1, dtype=np.int64)
-    for walker in range(start, stop):
-        rng = np.random.default_rng([seed, walker])
-        dx, dy = _separation_deltas(n_steps, l, proto, rng)
-        sx = np.concatenate(([sep0[0]], sep0[0] + np.cumsum(dx)))
-        sy = np.concatenate(([sep0[1]], sep0[1] + np.cumsum(dy)))
+    """Per-step sums of ``r^2`` and of "met by now" over one walker chunk.
+
+    Each block of ``k`` steps is one ``_separation_deltas(k * n_walkers)``
+    draw read step-major as ``(k, n_walkers)``.  The carried position is
+    added to the block's first row before the running sum, so positions
+    are the plain running sum of all steps, whatever the block size.
+    """
+    x = np.full(n_walkers, sep0[0])
+    y = np.full(n_walkers, sep0[1])
+    r = np.hypot(x, y)
+    met = r <= meeting_radius
+    r2_sum = np.empty(n_steps + 1)
+    met_count = np.empty(n_steps + 1, dtype=np.int64)
+    r2_sum[0] = np.sum(r * r)
+    met_count[0] = np.count_nonzero(met)
+    for t in range(0, n_steps, _STEP_BLOCK):
+        k = min(_STEP_BLOCK, n_steps - t)
+        dx, dy = _separation_deltas(k * n_walkers, l, proto, rng)
+        dx = dx.reshape(k, n_walkers)
+        dy = dy.reshape(k, n_walkers)
+        dx[0] += x
+        dy[0] += y
+        sx = np.cumsum(dx, axis=0)
+        sy = np.cumsum(dy, axis=0)
         r = np.hypot(sx, sy)
-        r2_sum += r * r
-        met_count += np.maximum.accumulate(r <= meeting_radius)
+        hit = r <= meeting_radius
+        hit[0] |= met
+        hit = np.logical_or.accumulate(hit, axis=0)
+        r2_sum[t + 1 : t + k + 1] = np.sum(r * r, axis=1)
+        met_count[t + 1 : t + k + 1] = np.count_nonzero(hit, axis=1)
+        x, y, met = sx[-1], sy[-1], hit[-1]
     return r2_sum, met_count
 
 
@@ -235,13 +229,12 @@ def run_ensemble(
     n_walkers: int,
     meeting_radius: float,
     seed: int,
-    n_workers: int = 1,
 ) -> EnsembleResult:
     """Evolve ``n_walkers`` independent pairs for ``n_steps`` steps.
 
-    Walker ``i`` draws from ``default_rng([seed, i])``, and partial sums
-    are reduced in fixed chunk order, so the output is bit-identical for
-    any ``n_workers``.
+    Walkers ``[256 c, 256 c + 256)`` draw from ``default_rng([seed, c])``,
+    and chunk sums are added in chunk order, so the output is a pure
+    function of the arguments.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
@@ -249,35 +242,22 @@ def run_ensemble(
         raise ValueError(f"n_walkers must be at least 1, got {n_walkers}")
     if meeting_radius < 0.0:
         raise ValueError(f"meeting radius must be nonnegative, got {meeting_radius}")
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
 
     sep0 = initial.pos_a - initial.pos_b
-    chunks = [
-        (lo, min(lo + _ENSEMBLE_CHUNK, n_walkers))
-        for lo in range(0, n_walkers, _ENSEMBLE_CHUNK)
-    ]
-
-    def job(bounds: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-        return _chunk_stats(
-            bounds[0],
-            bounds[1],
-            seed,
+    r2_total = np.zeros(n_steps + 1)
+    met_total = np.zeros(n_steps + 1, dtype=np.int64)
+    for chunk, lo in enumerate(range(0, n_walkers, _WALKER_CHUNK)):
+        r2_sum, met_count = _chunk_stats(
+            np.random.default_rng([seed, chunk]),
+            min(_WALKER_CHUNK, n_walkers - lo),
             sep0,
             initial.step_length,
             proto,
             n_steps,
             meeting_radius,
         )
-
-    if n_workers == 1 or len(chunks) == 1:
-        partials = [job(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            partials = list(pool.map(job, chunks))
-
-    r2_total = np.sum(np.stack([p[0] for p in partials]), axis=0)
-    met_total = np.sum(np.stack([p[1] for p in partials]), axis=0)
+        r2_total += r2_sum
+        met_total += met_count
     return EnsembleResult(
         mean_r2=r2_total / n_walkers,
         meeting_fraction=met_total / n_walkers,

@@ -54,20 +54,36 @@ def planar_two_step_distance(r, l, phi_a, phi_b):
 
 
 class ScriptedRng:
-    """Generator stand-in replaying scripted uniform/random draws."""
+    """Generator stand-in replaying scripted draws at the requested size.
+
+    Each scripted value, a scalar or an array, is broadcast to the size
+    of the draw that consumes it.
+    """
 
     def __init__(self, uniforms=(), randoms=()):
         self._uniforms = list(uniforms)
         self._randoms = list(randoms)
 
-    def uniform(self, lo, hi, size=None):
-        assert size is None, "scripted rng only supports scalar uniform draws"
-        value = self._uniforms.pop(0)
-        assert lo <= value < hi
+    def uniform(self, lo, hi, size):
+        value = np.broadcast_to(self._uniforms.pop(0), size)
+        assert np.all((lo <= value) & (value < hi))
         return value
 
-    def random(self, shape=None):
-        value = self._randoms.pop(0)
-        if shape is None:
-            return value
-        return np.full(shape, value)
+    def random(self, size):
+        return np.broadcast_to(self._randoms.pop(0), size)
+
+
+class RecordingRng:
+    """A seeded generator that keeps every array its ``uniform`` returns."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.uniforms = []
+
+    def uniform(self, lo, hi, size):
+        draw = self._rng.uniform(lo, hi, size)
+        self.uniforms.append(draw)
+        return draw
+
+    def random(self, size):
+        return self._rng.random(size)

@@ -73,7 +73,7 @@ def test_simulate_rows_and_determinism(tmp_path):
     out3 = tmp_path / "c.csv"
     assert run_cli(args + ["--out", str(out1)]) == 0
     assert run_cli(args + ["--out", str(out2)]) == 0
-    assert run_cli(args + ["--workers", "4", "--out", str(out3)]) == 0
+    assert run_cli(args + ["--out", str(out3)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert out1.read_bytes() == out3.read_bytes()
     header, rows = read_csv(out1)
@@ -270,6 +270,23 @@ def test_every_run_config_field_is_a_config_key(tmp_path, field):
     value = getattr(cfg, field.name)
     assert type(value).__name__ == declared
     assert value == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--quad-nodes", "8"],
+        ["msd", "--geometry", "hyperbolic"],
+        ["curve", "--samples", "2000"],
+        ["verify", "--protocol", "plus"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_inapplicable_flag_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_config_file_unknown_key_is_usage_error(tmp_path):

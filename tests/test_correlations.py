@@ -6,112 +6,90 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entwalk.correlations import (
-    PlanarDirection,
-    SignPair,
-    WernerParameter,
-    outcome_probability,
-    sample_direction,
-    sample_outcomes,
-    sample_sign_arrays,
-)
+from entwalk.correlations import TWO_PI, outcome_probability, sample_sign_arrays
+from entwalk.walk import Protocol, ProtocolSpec, _separation_deltas
+
+from conftest import RecordingRng, ScriptedRng
 
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, exclude_max=True)
 mixings = st.floats(min_value=0.0, max_value=1.0)
 
+# the four joint outcomes, in the order (-,-), (-,+), (+,-), (+,+)
+SIGMA_A = np.array([-1, -1, 1, 1])
+SIGMA_B = np.array([-1, 1, -1, 1])
+
 
 def test_direction_unit_vector_norm():
-    for angle in (0.0, 1.0, 2.5, 6.2, -3.0, 123.456):
-        vec = PlanarDirection(angle).unit_vector
-        assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
-
-
-def test_direction_angle_normalized_to_range():
-    assert 0.0 <= PlanarDirection(-1.0).angle < 2.0 * math.pi
-    assert PlanarDirection(2.0 * math.pi).angle == 0.0
+    # equal axes and equal classical signs: the two agents' moves add up
+    # to 2 l exactly when each is l along a unit direction
+    theta = np.array([0.0, 1.0, 2.5, 6.2])
+    rng = ScriptedRng(uniforms=[theta, theta], randoms=[0.3, 0.9])
+    dx, dy = _separation_deltas(4, 0.5, ProtocolSpec(Protocol.CLASSICAL), rng)
+    assert np.hypot(dx, dy) == pytest.approx(np.ones(4), abs=1e-12)
 
 
 def test_sign_pair_validation():
-    SignPair(1, -1)
+    outcome_probability(1, -1, 0.0, 1.0)
     with pytest.raises(ValueError):
-        SignPair(2, 1)
+        outcome_probability(2, 1, 0.0, 1.0)
     with pytest.raises(ValueError):
-        SignPair(1, 0)
+        outcome_probability(1, 0, 0.0, 1.0)
+    with pytest.raises(ValueError):
+        outcome_probability(SIGMA_A, np.array([-1, 1, 0, 1]), 0.0, 1.0)
 
 
 def test_werner_parameter_validation():
-    WernerParameter(0.0)
-    WernerParameter(1.0)
+    outcome_probability(1, -1, 0.0, 0.0)
+    outcome_probability(1, -1, 0.0, 1.0)
     with pytest.raises(ValueError):
-        WernerParameter(1.5)
+        outcome_probability(1, -1, 0.0, 1.5)
     with pytest.raises(ValueError):
-        WernerParameter(-0.1)
+        outcome_probability(1, -1, 0.0, -0.1)
+    with pytest.raises(ValueError):
+        outcome_probability(1, -1, 0.0, np.array([0.5, math.nan]))
 
 
 def test_probability_perfect_anticorrelation_common_axis():
-    n = PlanarDirection(0.7)
-    p = WernerParameter(1.0)
-    assert outcome_probability(SignPair(1, 1), n, n, p) == 0.0
-    assert outcome_probability(SignPair(1, -1), n, n, p) == 0.5
+    assert outcome_probability(1, 1, 0.0, 1.0) == 0.0
+    assert outcome_probability(1, -1, 0.0, 1.0) == 0.5
 
 
 def test_probability_orthogonal_axes_quarter():
-    n_a = PlanarDirection(0.3)
-    n_b = PlanarDirection(0.3 + math.pi / 2)
-    for p in (0.0, 0.37, 1.0):
-        for sa in (-1, 1):
-            for sb in (-1, 1):
-                prob = outcome_probability(
-                    SignPair(sa, sb), n_a, n_b, WernerParameter(p)
-                )
-                assert prob == pytest.approx(0.25, abs=1e-15)
+    delta = 0.3 - (0.3 + math.pi / 2)
+    p = np.array([[0.0], [0.37], [1.0]])
+    prob = outcome_probability(SIGMA_A, SIGMA_B, delta, p)
+    assert prob.shape == (3, 4)
+    assert prob == pytest.approx(np.full((3, 4), 0.25), abs=1e-15)
 
 
 def test_probability_direct_substitution():
     # opposite signs, axes pi/3 apart, fully correlated
-    prob = outcome_probability(
-        SignPair(1, -1),
-        PlanarDirection(math.pi / 3),
-        PlanarDirection(0.0),
-        WernerParameter(1.0),
-    )
+    prob = outcome_probability(1, -1, math.pi / 3 - 0.0, 1.0)
     assert prob == pytest.approx(0.375, abs=1e-15)
 
 
 @given(a=angles, b=angles, p=mixings)
 def test_normalization_and_marginals(a, b, p):
-    n_a, n_b, wp = PlanarDirection(a), PlanarDirection(b), WernerParameter(p)
-    probs = {
-        (sa, sb): outcome_probability(SignPair(sa, sb), n_a, n_b, wp)
-        for sa in (-1, 1)
-        for sb in (-1, 1)
-    }
-    assert abs(sum(probs.values()) - 1.0) <= 1e-15
-    for sa in (-1, 1):
-        assert abs(probs[sa, -1] + probs[sa, 1] - 0.5) <= 1e-15
-    for sb in (-1, 1):
-        assert abs(probs[-1, sb] + probs[1, sb] - 0.5) <= 1e-15
-    assert all(0.0 <= v <= 1.0 for v in probs.values())
+    mm, mp, pm, pp = outcome_probability(SIGMA_A, SIGMA_B, a - b, p)
+    assert abs(mm + mp + pm + pp - 1.0) <= 1e-15
+    for pair in ((mm, mp), (pm, pp), (mm, pm), (mp, pp)):
+        assert abs(sum(pair) - 0.5) <= 1e-15
+    assert all(0.0 <= v <= 1.0 for v in (mm, mp, pm, pp))
 
 
 @given(a=angles, b=angles, p=mixings, offset=st.floats(-10.0, 10.0))
 def test_rotational_invariance(a, b, p, offset):
-    wp = WernerParameter(p)
-    pair = SignPair(1, -1)
-    base = outcome_probability(pair, PlanarDirection(a), PlanarDirection(b), wp)
+    base = outcome_probability(1, -1, a - b, p)
     shifted = outcome_probability(
-        pair, PlanarDirection(a + offset), PlanarDirection(b + offset), wp
+        1, -1, (a + offset) % TWO_PI - (b + offset) % TWO_PI, p
     )
     assert abs(base - shifted) <= 1e-15
 
 
 def test_sampler_common_axis_always_anticorrelated():
     rng = np.random.default_rng(1)
-    n = PlanarDirection(1.1)
-    wp = WernerParameter(1.0)
-    for _ in range(500):
-        pair = sample_outcomes(n, n, wp, rng)
-        assert pair.sigma_b == -pair.sigma_a
+    sa, sb = sample_sign_arrays(np.zeros(500), 1.0, rng)
+    assert np.all(sb == -sa)
 
 
 def test_sampler_uncorrelated_at_zero_mixing():
@@ -160,33 +138,31 @@ def test_sampler_matches_distribution_chi_square():
 
 
 def test_sample_direction_moments():
-    rng = np.random.default_rng(5)
+    rng = RecordingRng(5)
     n = 1_000_000
-    draws = np.fromiter(
-        (sample_direction(rng).angle for _ in range(n)), dtype=float, count=n
-    )
-    assert np.all((0.0 <= draws) & (draws < 2.0 * math.pi))
-    cos_vals = np.cos(draws)
-    # var(cos) = 1/2 and var(cos^2) = 1/8 under the uniform law
-    assert abs(np.mean(cos_vals)) < 3.0 * math.sqrt(0.5 / n)
-    assert abs(np.mean(cos_vals**2) - 0.5) < 3.0 * math.sqrt(0.125 / n)
+    _separation_deltas(n, 1.0, ProtocolSpec(Protocol.CLASSICAL), rng)
+    for draws in rng.uniforms:  # A's angles, then B's
+        assert np.all((0.0 <= draws) & (draws < 2.0 * math.pi))
+        cos_vals = np.cos(draws)
+        # var(cos) = 1/2 and var(cos^2) = 1/8 under the uniform law
+        assert abs(np.mean(cos_vals)) < 3.0 * math.sqrt(0.5 / n)
+        assert abs(np.mean(cos_vals**2) - 0.5) < 3.0 * math.sqrt(0.125 / n)
 
 
 def test_sample_direction_kolmogorov_smirnov():
-    rng = np.random.default_rng(8)
+    rng = RecordingRng(8)
     n = 100_000
-    draws = np.fromiter(
-        (sample_direction(rng).angle for _ in range(n)), dtype=float, count=n
-    )
-    stat = scipy.stats.kstest(draws, "uniform", args=(0.0, 2.0 * math.pi)).statistic
-    assert stat < 1.628 / math.sqrt(n)  # 1% critical value
+    _separation_deltas(n, 1.0, ProtocolSpec(Protocol.CLASSICAL), rng)
+    for draws in rng.uniforms:
+        stat = scipy.stats.kstest(
+            draws, "uniform", args=(0.0, 2.0 * math.pi)
+        ).statistic
+        assert stat < 1.628 / math.sqrt(n)  # 1% critical value
 
 
 @settings(max_examples=25)
 @given(a=angles, b=angles, p=mixings, seed=st.integers(0, 2**32 - 1))
 def test_sampler_signs_are_valid(a, b, p, seed):
     rng = np.random.default_rng(seed)
-    pair = sample_outcomes(
-        PlanarDirection(a), PlanarDirection(b), WernerParameter(p), rng
-    )
-    assert pair.sigma_a in (-1, 1) and pair.sigma_b in (-1, 1)
+    sa, sb = sample_sign_arrays(np.full(16, a - b), p, rng)
+    assert np.all(np.isin(sa, (-1, 1))) and np.all(np.isin(sb, (-1, 1)))

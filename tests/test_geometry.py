@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 from entwalk.geometry import (
     DegenerateConfigurationError,
     GeometryKind,
-    ScaledConfiguration,
     arccosh_from_excess,
     build_frames,
     closed_form_distances,
-    closed_form_step_distance,
     construction_distances,
-    construction_step_distance,
     minkowski_dot,
     _invert_cos,
     _invert_cosh,
@@ -98,38 +95,43 @@ def test_frames_degenerate_separations_raise():
 # single-step distances: reference values
 
 
+def both_routes(geometry, rho, lam, phi_a, phi_b):
+    """One configuration's post-step separation by each route."""
+    return (
+        float(construction_distances(geometry, rho, lam, phi_a, phi_b)),
+        float(closed_form_distances(geometry, rho, lam, phi_a, phi_b)),
+    )
+
+
 @pytest.mark.parametrize("geometry", [S, H])
 def test_common_axis_step_preserves_separation(geometry):
-    cfg = ScaledConfiguration(rho=0.8, lam=0.6, phi_a=0.0, phi_b=0.0)
-    assert construction_step_distance(cfg, geometry) == pytest.approx(0.8, abs=1e-12)
-    assert closed_form_step_distance(cfg, geometry) == pytest.approx(0.8, abs=1e-12)
+    for d in both_routes(geometry, 0.8, 0.6, 0.0, 0.0):
+        assert d == pytest.approx(0.8, abs=1e-12)
 
 
 @pytest.mark.parametrize("geometry", [S, H])
 def test_zero_step_preserves_separation(geometry):
-    cfg = ScaledConfiguration(rho=1.1, lam=0.0, phi_a=2.0, phi_b=5.0)
-    assert construction_step_distance(cfg, geometry) == pytest.approx(1.1, abs=1e-12)
-    assert closed_form_step_distance(cfg, geometry) == pytest.approx(1.1, abs=1e-12)
+    for d in both_routes(geometry, 1.1, 0.0, 2.0, 5.0):
+        assert d == pytest.approx(1.1, abs=1e-12)
 
 
 def test_receding_along_common_geodesic_spherical():
     # opposite azimuths push the agents apart along the connecting geodesic
-    cfg = ScaledConfiguration(rho=0.7, lam=0.2, phi_a=0.0, phi_b=math.pi)
-    assert construction_step_distance(cfg, S) == pytest.approx(1.1, abs=1e-12)
-    assert closed_form_step_distance(cfg, S) == pytest.approx(1.1, abs=1e-12)
+    for d in both_routes(S, 0.7, 0.2, 0.0, math.pi):
+        assert d == pytest.approx(1.1, abs=1e-12)
 
 
 def test_receding_along_common_geodesic_hyperbolic():
-    cfg = ScaledConfiguration(rho=0.7, lam=0.2, phi_a=0.0, phi_b=math.pi)
-    assert construction_step_distance(cfg, H) == pytest.approx(1.1, abs=1e-12)
-    assert closed_form_step_distance(cfg, H) == pytest.approx(1.1, abs=1e-12)
+    for d in both_routes(H, 0.7, 0.2, 0.0, math.pi):
+        assert d == pytest.approx(1.1, abs=1e-12)
 
 
 def test_closed_form_smooth_at_zero_separation():
-    cfg = ScaledConfiguration(rho=0.0, lam=0.4, phi_a=1.0, phi_b=1.0)
-    assert closed_form_step_distance(cfg, S) == pytest.approx(0.0, abs=1e-12)
+    assert float(closed_form_distances(S, 0.0, 0.4, 1.0, 1.0)) == pytest.approx(
+        0.0, abs=1e-12
+    )
     with pytest.raises(DegenerateConfigurationError):
-        construction_step_distance(cfg, S)
+        construction_distances(S, 0.0, 0.4, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +170,7 @@ def test_agent_relabeling_symmetry(geometry, tol):
     pb=azimuths,
 )
 def test_spherical_range_and_triangle_bound(rho, lam, pa, pb):
-    cfg = ScaledConfiguration(rho=rho, lam=lam, phi_a=pa, phi_b=pb)
-    d = closed_form_step_distance(cfg, S)
+    d = float(closed_form_distances(S, rho, lam, pa, pb))
     assert 0.0 <= d <= math.pi
     assert d <= rho + 2.0 * lam + 1e-9
 
@@ -182,8 +183,7 @@ def test_spherical_range_and_triangle_bound(rho, lam, pa, pb):
     pb=azimuths,
 )
 def test_hyperbolic_range_and_triangle_bound(rho, lam, pa, pb):
-    cfg = ScaledConfiguration(rho=rho, lam=lam, phi_a=pa, phi_b=pb)
-    d = closed_form_step_distance(cfg, H)
+    d = float(closed_form_distances(H, rho, lam, pa, pb))
     assert 0.0 <= d <= rho + 2.0 * lam + 1e-9
 
 
@@ -234,26 +234,15 @@ def test_inverse_guards_flag_numerical_bugs():
     assert _invert_cosh(np.array(1.0 - 1e-13), np.array(1.0)) == 0.0
 
 
-def test_scaled_configuration_validation():
-    with pytest.raises(ValueError):
-        ScaledConfiguration(rho=-0.1, lam=0.1, phi_a=0.0, phi_b=0.0)
-    with pytest.raises(ValueError):
-        ScaledConfiguration(rho=0.1, lam=-0.1, phi_a=0.0, phi_b=0.0)
-    cfg = ScaledConfiguration(rho=0.1, lam=0.1, phi_a=-1.0, phi_b=7.0)
-    assert 0.0 <= cfg.phi_a < 2.0 * math.pi
-    assert 0.0 <= cfg.phi_b < 2.0 * math.pi
-
-
 def test_domain_caps_enforced():
+    for geometry in (S, H):
+        with pytest.raises(ValueError):
+            closed_form_distances(geometry, -0.1, 0.1, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            closed_form_distances(geometry, 0.1, -0.1, 0.0, 0.0)
     with pytest.raises(ValueError):
-        closed_form_step_distance(
-            ScaledConfiguration(rho=3.2, lam=0.1, phi_a=0.0, phi_b=0.0), S
-        )
+        closed_form_distances(S, 3.2, 0.1, 0.0, 0.0)
     with pytest.raises(ValueError):
-        closed_form_step_distance(
-            ScaledConfiguration(rho=21.0, lam=0.1, phi_a=0.0, phi_b=0.0), H
-        )
+        closed_form_distances(H, 21.0, 0.1, 0.0, 0.0)
     with pytest.raises(ValueError):
-        closed_form_step_distance(
-            ScaledConfiguration(rho=1.0, lam=21.0, phi_a=0.0, phi_b=0.0), H
-        )
+        closed_form_distances(H, 1.0, 21.0, 0.0, 0.0)

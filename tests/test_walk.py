@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +9,11 @@ from hypothesis import strategies as st
 from entwalk.walk import (
     Protocol,
     ProtocolSpec,
-    StepOutcome,
     WalkState,
+    _separation_deltas,
     expected_sq_separation,
     mc_sq_separation,
     run_ensemble,
-    step,
     weight,
 )
 
@@ -89,25 +89,22 @@ def test_walk_state_validation():
 
 
 def test_step_plus_common_axis_cancels():
-    # scripted draws: both directions equal, perfectly anti-correlated signs
+    # scripted draws: both directions equal, perfectly anti-correlated
+    # signs; sigma_a is +1 for the first step and -1 for the second
     theta = 0.9
-    rng = ScriptedRng(uniforms=[theta, theta], randoms=[0.3, 0.2])
-    state = WalkState((0.0, 0.0), (1.7, 0.4), 0.5)
-    out = step(state, ProtocolSpec(Protocol.PLUS, 1.0), rng)
-    assert out.signs.sigma_b == -out.signs.sigma_a
-    assert out.r_prime == pytest.approx(state.separation, abs=1e-12)
+    rng = ScriptedRng(uniforms=[theta, theta], randoms=[np.array([0.3, 0.7]), 0.2])
+    dx, dy = _separation_deltas(2, 0.5, ProtocolSpec(Protocol.PLUS, 1.0), rng)
+    assert np.all(np.abs(dx) <= 1e-12)
+    assert np.all(np.abs(dy) <= 1e-12)
 
 
 def test_step_minus_common_axis_doubles():
     theta = 0.9
-    rng = ScriptedRng(uniforms=[theta, theta], randoms=[0.3, 0.2])
-    state = WalkState((0.0, 0.0), (1.7, 0.4), 0.5)
-    out = step(state, ProtocolSpec(Protocol.MINUS, 1.0), rng)
-    direction = np.array([math.cos(theta), math.sin(theta)])
-    expected = np.linalg.norm(
-        state.pos_a - state.pos_b + 2 * 0.5 * out.signs.sigma_a * direction
-    )
-    assert out.r_prime == pytest.approx(expected, abs=1e-12)
+    rng = ScriptedRng(uniforms=[theta, theta], randoms=[np.array([0.3, 0.7]), 0.2])
+    dx, dy = _separation_deltas(2, 0.5, ProtocolSpec(Protocol.MINUS, 1.0), rng)
+    sigma_a = np.array([1.0, -1.0])
+    assert dx == pytest.approx(2 * 0.5 * sigma_a * math.cos(theta), abs=1e-12)
+    assert dy == pytest.approx(2 * 0.5 * sigma_a * math.sin(theta), abs=1e-12)
 
 
 @settings(max_examples=40)
@@ -118,18 +115,17 @@ def test_step_minus_common_axis_doubles():
 )
 def test_step_triangle_inequality(seed, kind, p):
     rng = np.random.default_rng(seed)
-    state = WalkState(rng.normal(size=2), rng.normal(size=2), 0.7)
-    out = step(state, ProtocolSpec(kind, p), rng)
-    assert isinstance(out, StepOutcome)
-    assert abs(out.r_prime - state.separation) <= 2 * 0.7 + 1e-12
+    sep = rng.normal(size=2)
+    dx, dy = _separation_deltas(64, 0.7, ProtocolSpec(kind, p), rng)
+    r_prime = np.hypot(sep[0] + dx, sep[1] + dy)
+    assert np.all(np.abs(r_prime - np.hypot(*sep)) <= 2 * 0.7 + 1e-12)
 
 
 def test_step_from_coincident_start():
     rng = np.random.default_rng(11)
-    state = WalkState((2.0, 2.0), (2.0, 2.0), 0.5)
     for kind in Protocol:
-        out = step(state, ProtocolSpec(kind, 1.0), rng)
-        assert 0.0 <= out.r_prime <= 2 * 0.5 + 1e-12
+        dx, dy = _separation_deltas(1000, 0.5, ProtocolSpec(kind, 1.0), rng)
+        assert np.all(np.hypot(dx, dy) <= 2 * 0.5 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -206,16 +202,56 @@ def test_ensemble_translation_invariance():
     assert np.array_equal(base.meeting_fraction, moved.meeting_fraction)
 
 
-def test_ensemble_deterministic_across_worker_counts():
+def test_ensemble_deterministic_across_reruns():
     proto = ProtocolSpec(Protocol.MINUS, 0.7)
     runs = [
         run_ensemble(WalkState((0, 0), (1.5, 0), 0.5), proto, 60, 700, 0.1,
-                     seed=21, n_workers=k)
-        for k in (1, 2, 4)
+                     seed=21)
+        for _ in range(3)
     ]
     for other in runs[1:]:
         assert np.array_equal(runs[0].mean_r2, other.mean_r2)
         assert np.array_equal(runs[0].meeting_fraction, other.meeting_fraction)
+
+
+def test_ensemble_follows_the_chunk_seeded_stream_layout():
+    # 300 walkers and 300 steps span two walker chunks (256 + 44) and two
+    # step blocks (256 + 44); the reference draws each chunk's blocks from
+    # default_rng([seed, chunk]) and runs one sum over all of its steps
+    seed, eps, l = 13, 0.3, 0.5
+    proto = ProtocolSpec(Protocol.PLUS, 0.8)
+    res = run_ensemble(WalkState((0, 0), (1.2, 0.4), l), proto, 300, 300, eps,
+                       seed=seed)
+    r2_total = np.zeros(301)
+    met_total = np.zeros(301, dtype=np.int64)
+    for chunk, walkers in enumerate((256, 44)):
+        rng = np.random.default_rng([seed, chunk])
+        blocks = [_separation_deltas(k * walkers, l, proto, rng) for k in (256, 44)]
+        dx = np.vstack([bx.reshape(-1, walkers) for bx, _ in blocks])
+        dy = np.vstack([by.reshape(-1, walkers) for _, by in blocks])
+        x = np.cumsum(np.vstack([np.full(walkers, -1.2), dx]), axis=0)
+        y = np.cumsum(np.vstack([np.full(walkers, -0.4), dy]), axis=0)
+        r = np.hypot(x, y)
+        r2_total += np.sum(r * r, axis=1)
+        met_total += np.count_nonzero(
+            np.logical_or.accumulate(r <= eps, axis=0), axis=1
+        )
+    assert np.array_equal(res.mean_r2, r2_total / 300)
+    assert np.array_equal(res.meeting_fraction, met_total / 300)
+
+
+def test_ensemble_memory_does_not_grow_with_steps():
+    state = WalkState((0, 0), (1.0, 0), 0.5)
+    proto = ProtocolSpec(Protocol.PLUS, 1.0)
+    peaks = []
+    for n_steps in (2_000, 20_000):
+        tracemalloc.start()
+        try:
+            run_ensemble(state, proto, n_steps, 300, 0.05, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
 
 
 def test_ensemble_attractive_meets_at_least_as_often_as_classical():
