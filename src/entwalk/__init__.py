@@ -37,7 +37,6 @@ from .solver import (
     mean_sq_step,
     residual,
     small_lambda_series,
-    solve_radius,
     trace_curve,
 )
 from .walk import (
@@ -75,7 +74,6 @@ __all__ = [
     "mean_sq_step",
     "small_lambda_series",
     "residual",
-    "solve_radius",
     "trace_curve",
     "extract_thresholds",
     "figure3_transform",

@@ -227,14 +227,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_curve(cfg: RunConfig) -> int:
     kind = cfg.geometry_kind()
     problem = CurvatureProblem(kind, cfg.rhs_weight(kind))
-    quad = cfg.quadrature()
-    axis = solver.certified_axis_crossing(problem, quad)
-    grid = solver.make_lambda_grid(
-        problem, axis[0] if axis else None,
-        cfg.lambda_min, cfg.lambda_max, cfg.lambda_steps,
+    axis, grid, cert = solver.certified_curve(
+        problem, cfg.quadrature(), cfg.lambda_min, cfg.lambda_max, cfg.lambda_steps
     )
-    traced = solver.trace_curve(problem, grid, quad)
-    cert = solver.certify_curve(problem, traced, quad)
 
     points = list(cert.curve.points)
     residuals = list(cert.certified)
@@ -400,17 +395,15 @@ def _check_roots(cfg: RunConfig) -> tuple[bool, str]:
     quad = cfg.quadrature()
     worst = 0.0
     count = 0
-    for kind, w, grid in (
-        (GeometryKind.SPHERICAL, 1.0, np.linspace(0.1, 0.5, 3)),
-        (GeometryKind.HYPERBOLIC, 3.0, np.linspace(0.1, 1.5, 3)),
+    for kind, w, lam_hi in (
+        (GeometryKind.SPHERICAL, 1.0, 0.5),
+        (GeometryKind.HYPERBOLIC, 3.0, 1.5),
     ):
         problem = CurvatureProblem(kind, w)
-        traced = solver.trace_curve(problem, grid, quad)
-        cert = solver.certify_curve(problem, traced, quad)
+        axis, _, cert = solver.certified_curve(problem, quad, 0.1, lam_hi, 3)
         count += len(cert.curve.points)
         if cert.certified.size:
             worst = max(worst, float(np.max(np.abs(cert.certified))))
-        axis = solver.certified_axis_crossing(problem, quad)
         if axis is not None:
             count += 1
             worst = max(worst, abs(axis[1]))

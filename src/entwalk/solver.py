@@ -29,8 +29,11 @@ Solution points of
 
     Phi(rho, lam) = F(rho, lam) - rho^2 - w lam^2 = 0
 
-are located by a uniform sign scan plus bisection; traced curves link
-roots into branches by nearest-neighbor continuation.
+are traced along ``lam`` by predictor-corrector continuation (Allgower &
+Georg) from the small-step intercept ``(0, rho0)``, with a coarse guard
+scan that adds every root continuation misses as a new branch.  The
+axis crossing and the intercept come from a uniform sign scan plus
+bisection.  ``curve`` and ``threshold`` both read ``certified_curve``.
 
 The small-step expansion ``F = rho^2 + lam^2 (1 + rho cot(rho)) + O(lam^4)``
 (``coth`` on the hyperboloid) serves as an independent analytic oracle;
@@ -78,8 +81,13 @@ _RHO_MAX = {
     GeometryKind.HYPERBOLIC: RHO_CAP,
 }
 
-# Quadrature temporaries are kept near this many float64 elements.
-_CHUNK_BUDGET = 1 << 22
+#: Coarse ``rho`` panels per ``lam`` of the guard scan behind continuation.
+_GUARD_PANELS = 64
+
+# Quadrature temporaries are kept near this many float64 elements (1 MB):
+# large enough that per-call overhead stays small, small enough that a
+# whole guard scan or a 4096-node check streams through cache.
+_CHUNK_BUDGET = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -160,17 +168,6 @@ class CertifiedCurve:
 
 
 @dataclass(frozen=True)
-class RadiusRoot:
-    """One admissible curvature radius for a physical separation and step."""
-
-    radius: float
-    lam: float
-    rho: float
-    residual: float
-    branch_id: int
-
-
-@dataclass(frozen=True)
 class PaperComparison:
     """Outcome of comparing a computed ratio bound with the reference 0.64."""
 
@@ -181,14 +178,14 @@ class PaperComparison:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Endpoints and ratio bounds extracted from a traced solution set.
+    """Endpoints and ratio bounds extracted from the certified curve.
 
     ``ratio_extrema`` maps branch id to ``(inf, sup)`` of ``lam / rho``
-    over the branch's traced (not certified) grid points with
-    ``rho > 0``; ``nu_slope`` is the slope between the two smallest-``lam``
-    traced points of the hyperbolic branch, so it depends on the grid
-    (reported, not asserted).  Fields are ``None`` when no root exists in
-    the scan range.
+    over the branch's certified grid points with ``rho > 0``, the points
+    ``curve`` prints; ``nu_slope`` is the slope between the two
+    smallest-``lam`` certified points of the hyperbolic branch, so it
+    depends on the grid (reported, not asserted).  Fields are ``None``
+    when no root exists in the scan range.
     """
 
     geometry: GeometryKind
@@ -400,66 +397,6 @@ def _illinois(f, a, b, fa, fb, max_iter=80) -> float:
     return 0.5 * (a + b)
 
 
-def solve_radius(
-    geometry: GeometryKind,
-    r: float,
-    l: float,
-    w: float,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> list[RadiusRoot]:
-    """All admissible curvature radii for physical separation ``r``, step ``l``.
-
-    Substitutes ``rho = (r/l) lam`` and finds every root of
-    ``F(rho, lam) - (rho^2 + w lam^2)`` in scaled step length, scanning up
-    to the geometry's domain bound (``rho <= pi`` on the sphere, the
-    working cap on the hyperboloid).  An empty list is a valid outcome:
-    the geometric model does not apply to those inputs.
-    """
-    if not (r > 0.0 and l > 0.0):
-        raise ValueError("separation and step length must be positive")
-    problem = CurvatureProblem(geometry, w)
-    s = r / l
-    if geometry is GeometryKind.SPHERICAL:
-        lam_hi = math.pi / s
-    else:
-        lam_hi = min(RHO_CAP / s, RHO_CAP)
-
-    def g(lam_vec):
-        lam_vec = np.asarray(lam_vec, dtype=float)
-        return residual(problem, s * lam_vec, lam_vec, quad)
-
-    lam_roots = _find_roots(g, 0.0, lam_hi, exclude_lo=True)
-    if not lam_roots:
-        return []
-    res = np.atleast_1d(g(np.array(lam_roots)))
-    found = sorted(
-        (l / lam, lam, s * lam, float(phi)) for lam, phi in zip(lam_roots, res)
-    )
-    return [
-        RadiusRoot(radius=rad, lam=lam, rho=rho, residual=phi, branch_id=i)
-        for i, (rad, lam, rho, phi) in enumerate(found)
-    ]
-
-
-def _match_roots_to_branches(
-    active: dict[int, float], roots: list[float]
-) -> dict[int, int]:
-    """Greedy nearest-neighbor pairing of new roots with branch tails."""
-    pairs = sorted(
-        (abs(root - tail), i, bid)
-        for i, root in enumerate(roots)
-        for bid, tail in active.items()
-    )
-    assigned: dict[int, int] = {}
-    used_branches: set[int] = set()
-    for _, i, bid in pairs:
-        if i in assigned or bid in used_branches:
-            continue
-        assigned[i] = bid
-        used_branches.add(bid)
-    return assigned
-
-
 def make_lambda_grid(
     problem: CurvatureProblem,
     lambda_star: float | None,
@@ -489,6 +426,21 @@ def make_lambda_grid(
     return np.linspace(lambda_min, lambda_max, steps)
 
 
+def _predict(tail: list[tuple[float, float]], lam: float) -> tuple[float, float]:
+    """Predicted ``rho`` at ``lam`` and the half-width of its first bracket.
+
+    Linear extrapolation from a branch's last two points ``(lam, rho)``
+    (constant from one, as ``rho'(0) = 0`` at the intercept).  The half-width
+    is the predicted change or the squared step, whichever is larger.
+    """
+    last_lam, last_rho = tail[-1]
+    guess = last_rho
+    if len(tail) == 2:
+        prev_lam, prev_rho = tail[0]
+        guess += (last_rho - prev_rho) * (lam - last_lam) / (last_lam - prev_lam)
+    return guess, max(abs(guess - last_rho), (lam - last_lam) ** 2)
+
+
 def trace_curve(
     problem: CurvatureProblem,
     lambda_grid,
@@ -496,10 +448,13 @@ def trace_curve(
 ) -> CurvatureCurve:
     """Solution points ``rho(lam)`` over a strictly increasing ``lambda_grid``.
 
-    For each grid value all roots of the residual in the geometry's
-    ``rho`` domain are located, then linked into branches by
-    nearest-neighbor continuation; branches may appear or disappear
-    across the grid.
+    The branch through the intercept starts at ``(0, rho0)``; each next
+    point is ``_predict``-ed and corrected by ``_refine_scalar_root`` to
+    ``DEFAULT_BISECT_TOL``.  A branch ends where the corrector finds no
+    sign change or lands on another branch's root.  The guard evaluates
+    the residual on ``_GUARD_PANELS`` ``rho`` panels at every grid value
+    in one call; each sign change holding no continued root is solved and
+    starts a new branch.  Points of one ``lam`` are listed by rising ``rho``.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -512,45 +467,69 @@ def trace_curve(
     if problem.geometry is GeometryKind.HYPERBOLIC and np.any(grid > RHO_CAP):
         raise ValueError(f"hyperbolic lam values are capped at {RHO_CAP}")
 
-    points: list[CurvePoint] = []
-    active: dict[int, float] = {}
-    next_id = 0
-    for lam in grid:
+    nodes = np.linspace(0.0, rho_hi, _GUARD_PANELS + 1)
+    guard = residual(problem, nodes[None, :], grid[:, None], quad)
+    rho0 = _series_intercept(problem)
+    tails: dict[int, list[tuple[float, float]]] = {}
+    if rho0 is not None:
+        tails[0] = [(0.0, rho0)]
+    next_id = len(tails)
+    found: list[tuple[float, float, int]] = []
+    for lam, row in zip(grid.tolist(), guard):
 
-        def phi_of_rho(rho_vec):
-            rho_vec = np.asarray(rho_vec, dtype=float)
-            return residual(problem, rho_vec, np.full_like(rho_vec, lam), quad)
+        def phi(x, lam=lam):
+            return residual(problem, x, lam, quad)
 
-        roots = _find_roots(phi_of_rho, 0.0, rho_hi)
-        if not roots:
-            continue
-        res = np.atleast_1d(phi_of_rho(np.array(roots)))
-        assigned = _match_roots_to_branches(active, roots)
-        for i, root in enumerate(roots):
-            bid = assigned.get(i)
-            if bid is None:
-                bid = next_id
-                next_id += 1
-            active[bid] = root
-            points.append(
-                CurvePoint(
-                    lam=float(lam),
-                    rho=float(root),
-                    residual=float(res[i]),
-                    branch_id=bid,
-                )
-            )
-    return CurvatureCurve(tuple(points))
+        roots: dict[int, float] = {}
+        for bid, tail in list(tails.items()):
+            guess, half = _predict(tail, lam)
+            root = _refine_scalar_root(phi, min(max(guess, 0.0), rho_hi), rho_hi, half)
+            if root is None or any(
+                abs(root - r) <= 2.0 * DEFAULT_BISECT_TOL for r in roots.values()
+            ):
+                del tails[bid]
+                continue
+            roots[bid] = root
+            tails[bid] = [tail[-1], (lam, root)]
+        for i in np.flatnonzero(row[:-1] * row[1:] <= 0.0):
+            a, b = nodes[i], nodes[i + 1]
+            if any(
+                a - DEFAULT_BISECT_TOL <= r <= b + DEFAULT_BISECT_TOL
+                for r in roots.values()
+            ):
+                continue
+            root = _illinois(phi, a, b, row[i], row[i + 1])
+            roots[next_id] = root
+            tails[next_id] = [(lam, root)]
+            next_id += 1
+        for bid, root in sorted(roots.items(), key=lambda item: item[1]):
+            found.append((lam, root, bid))
+
+    if not found:
+        return CurvatureCurve(())
+    lam_arr, rho_arr, _ = (np.array(col) for col in zip(*found))
+    res = residual(problem, rho_arr, lam_arr, quad)
+    return CurvatureCurve(
+        tuple(
+            CurvePoint(lam=lam, rho=float(rho), residual=float(r), branch_id=bid)
+            for (lam, rho, bid), r in zip(found, res)
+        )
+    )
 
 
-def _refine_scalar_root(f, x0: float, hi_cap: float) -> float | None:
-    """Re-solve a root near ``x0`` in ``[0, hi_cap]`` for a finer objective.
+def _refine_scalar_root(
+    f, x0: float, hi_cap: float, half: float | None = None
+) -> float | None:
+    """Root of ``f`` near ``x0`` in ``[0, hi_cap]`` by a widening bracket.
 
-    Looks for a sign change in a small bracket around ``x0``, widening a
-    few times if needed; returns None when no bracket can be found (the
-    refined objective may have lost the root, e.g. at a tangency).
+    The bracket reaches ``half`` (default ``1e-4 max(1, |x0|)``) to each
+    side of ``x0`` and widens eightfold, up to eight times, until ``f``
+    changes sign across it; ``_illinois`` then solves inside it.  Returns
+    None when no bracket is found (a finer objective may have lost the
+    root, e.g. at a tangency, or the branch may have ended).
     """
-    half = 1e-4 * max(1.0, abs(x0))
+    if half is None:
+        half = 1e-4 * max(1.0, abs(x0))
     for _ in range(8):
         a = max(0.0, x0 - half)
         b = min(hi_cap, x0 + half)
@@ -685,6 +664,26 @@ def _series_intercept(problem: CurvatureProblem) -> float | None:
     return roots[0] if roots else None
 
 
+def certified_curve(
+    problem: CurvatureProblem,
+    quad: QuadratureSpec = QuadratureSpec(),
+    lambda_min: float | None = None,
+    lambda_max: float | None = None,
+    steps: int = DEFAULT_LAMBDA_STEPS,
+) -> tuple[tuple[float, float, int] | None, np.ndarray, CertifiedCurve]:
+    """The one certified curve behind ``curve``, ``threshold`` and ``verify``.
+
+    Returns ``(axis, grid, certified)``: the ``certified_axis_crossing``
+    (or None), the ``make_lambda_grid`` grid built on it, and the curve
+    traced over that grid and passed through ``certify_curve``.
+    """
+    axis = certified_axis_crossing(problem, quad)
+    grid = make_lambda_grid(
+        problem, axis[0] if axis else None, lambda_min, lambda_max, steps
+    )
+    return axis, grid, certify_curve(problem, trace_curve(problem, grid, quad), quad)
+
+
 def extract_thresholds(
     problem: CurvatureProblem,
     quad: QuadratureSpec = QuadratureSpec(),
@@ -696,19 +695,19 @@ def extract_thresholds(
 
     ``lambda_star`` is the certified axis crossing of ``F(0, lam) = w lam^2``
     (the value ``curve`` appends as its axis row); ``rho0`` the small-step
-    intercept from the series condition.  The curve is traced over
-    ``make_lambda_grid``'s grid, the one ``curve`` traces for the same
-    bounds; its points are not certified.  Ratio extrema of
-    ``lam / rho`` are taken per traced branch over that grid.  The
+    intercept from the series condition.  Ratio extrema of ``lam / rho``
+    are taken per branch over ``certified_curve``'s points, the rows
+    ``curve`` prints for the same bounds.  The
     comparison status is ``consistent`` when some branch's infimum of
     ``lam / rho`` falls within +/-0.02 of the reference value 0.64, else
     ``discrepant``; the report is emitted either way.
     """
-    axis = certified_axis_crossing(problem, quad)
+    axis, _, cert = certified_curve(
+        problem, quad, lambda_min, lambda_max, lambda_steps
+    )
     lambda_star = axis[0] if axis is not None else None
     rho0 = _series_intercept(problem)
-    grid = make_lambda_grid(problem, lambda_star, lambda_min, lambda_max, lambda_steps)
-    curve = trace_curve(problem, grid, quad)
+    curve = cert.curve
 
     ratios: dict[int, list[float]] = {}
     for image in figure3_transform(curve):

@@ -258,8 +258,12 @@ def run_ensemble(
         )
         r2_total += r2_sum
         met_total += met_count
+    mean_r2 = r2_total / n_walkers
+    # every walker starts at sep0: write |sep0|^2 itself, not a rounded mean
+    x0, y0 = sep0
+    mean_r2[0] = x0 * x0 + y0 * y0
     return EnsembleResult(
-        mean_r2=r2_total / n_walkers,
+        mean_r2=mean_r2,
         meeting_fraction=met_total / n_walkers,
         n_steps=n_steps,
         n_walkers=n_walkers,

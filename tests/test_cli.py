@@ -92,6 +92,18 @@ def test_simulate_single_walker_zero_steps(tmp_path):
     assert rows[0] == ["0", "1.0", "0.0"]
 
 
+@pytest.mark.parametrize("r", [0.7, 0.3])
+def test_simulate_step_zero_is_the_initial_separation_squared(tmp_path, r):
+    # every walker starts at distance r, so the mean is r*r, not a rounded sum
+    out = tmp_path / "sim.csv"
+    assert run_cli([
+        "simulate", "--r", repr(r), "--steps", "1", "--walkers", "1000",
+        "--out", str(out),
+    ]) == 0
+    _, rows = read_csv(out)
+    assert rows[0][1] == repr(r * r)
+
+
 def test_simulate_first_step_matches_analytic(tmp_path):
     out = tmp_path / "sim.csv"
     assert run_cli([
@@ -222,19 +234,34 @@ def test_threshold_honours_a_lone_grid_bound(tmp_path):
     assert run_cli(["threshold", "--lambda-steps", "1"]) == 2
 
 
-def test_threshold_reads_the_curve_grid(tmp_path):
-    # both commands trace the same default grid; no point escalates at
-    # small lam, so the traced and certified values agree exactly
-    common = ["--geometry", "hyperbolic", "--lambda-steps", "5"]
+def curve_and_threshold(tmp_path, *common):
     out = tmp_path / "curve.csv"
     assert run_cli(["curve", *common, "--out", str(out)]) == 0
     _, rows = read_csv(out)
-    payload = threshold_report(tmp_path, "thr.json", *common)
+    return rows, threshold_report(tmp_path, "thr.json", *common)
+
+
+def test_threshold_reads_the_curve_grid(tmp_path):
+    # both commands read the same certified curve over the same grid
+    rows, payload = curve_and_threshold(
+        tmp_path, "--geometry", "hyperbolic", "--lambda-steps", "5"
+    )
     (lam0, rho0), (lam1, rho1) = [(float(r[0]), float(r[1])) for r in rows[:2]]
     assert payload["nu_slope"] == (rho1 - rho0) / (lam1 - lam0)
     assert payload["ratio_inf"] == float(rows[0][4])
     axis_rows = [row for row in rows if row[4] == ""]
     assert payload["lambda_star"] == float(axis_rows[0][0])
+    assert payload["ratio_sup"] == max(float(r[4]) for r in rows if r[4])
+
+
+def test_threshold_extrema_are_the_certified_rows_through_escalation(tmp_path):
+    # sphere defaults: points near the crease are re-solved on finer grids,
+    # so extrema of uncertified traced points would differ in the 5th digit
+    rows, payload = curve_and_threshold(tmp_path, "--geometry", "spherical")
+    ratios = [float(r[4]) for r in rows if r[4]]
+    assert payload["ratio_sup"] == max(ratios)
+    assert payload["ratio_inf"] == min(ratios)
+    assert payload["lambda_star"] == float([r for r in rows if not r[4]][0][0])
 
 
 # ---------------------------------------------------------------------------

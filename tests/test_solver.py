@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entwalk import solver
-from entwalk.geometry import TWO_PI, GeometryKind, closed_form_distances
+from entwalk.geometry import RHO_CAP, TWO_PI, GeometryKind, closed_form_distances
 from entwalk.solver import (
+    DEFAULT_LAMBDA_STEPS,
     CurvatureCurve,
     CurvatureProblem,
     CurvePoint,
@@ -17,12 +18,13 @@ from entwalk.solver import (
     certify_curve,
     extract_thresholds,
     figure3_transform,
+    make_lambda_grid,
     mean_sq_step,
     residual,
     small_lambda_series,
-    solve_radius,
     trace_curve,
 )
+from entwalk.walk import Protocol, weight
 
 S = GeometryKind.SPHERICAL
 H = GeometryKind.HYPERBOLIC
@@ -192,50 +194,6 @@ def test_residual_near_intercept_hyperbolic():
 
 
 # ---------------------------------------------------------------------------
-# radius solving
-
-
-def test_solve_radius_respects_spherical_domain():
-    roots = solve_radius(S, 2.0, 1.0, 1.0)
-    assert roots, "expected at least one admissible radius"
-    for root in roots:
-        assert root.rho <= math.pi + 1e-12
-        assert root.radius == pytest.approx(1.0 / root.lam, rel=1e-12)
-
-
-def test_solve_radius_small_step_limit_spherical():
-    # steps much shorter than the separation: scaled separation near pi/2
-    roots = solve_radius(S, 20.0, 1.0, 1.0)
-    assert len(roots) == 1
-    assert abs(roots[0].rho - math.pi / 2) < 5e-3
-
-
-def test_solve_radius_small_step_limit_hyperbolic():
-    roots = solve_radius(H, 20.0, 1.0, 3.0)
-    assert len(roots) == 1
-    assert abs(roots[0].rho - 1.91501) < 1e-2
-
-
-def test_solve_radius_returns_sorted_and_annotated():
-    roots = solve_radius(S, 1.0, 1.0, 1.0)
-    radii = [r.radius for r in roots]
-    assert radii == sorted(radii)
-    assert [r.branch_id for r in roots] == list(range(len(roots)))
-
-
-def test_solve_radius_inapplicable_inputs_give_empty_list():
-    assert solve_radius(S, 1.0, 1.0, 2.0) == []
-    assert solve_radius(H, 1.0, 1.0, 2.0) == []
-
-
-def test_solve_radius_validation():
-    with pytest.raises(ValueError):
-        solve_radius(S, 0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        solve_radius(S, 1.0, 1.0, 2.5)
-
-
-# ---------------------------------------------------------------------------
 # curve tracing
 
 
@@ -272,6 +230,63 @@ def test_trace_branch_linking_is_stable():
     assert list(branches) == [0]
     rhos = [p.rho for p in branches[0]]
     assert all(b < a for a, b in zip(rhos, rhos[1:]))  # monotone descent
+
+
+def dense_scan_roots(problem, grid):
+    """Reference roots: a 512-panel sign scan of each lam row, bisected to 1e-10.
+
+    Returned ordered by lam, then rho, as ``trace_curve`` lists them.
+    """
+    rho_hi = math.pi if problem.geometry is S else RHO_CAP
+    rho = np.linspace(0.0, rho_hi, 513)
+    vals = residual(problem, rho[None, :], grid[:, None])
+    row, col = np.nonzero(vals[:, :-1] * vals[:, 1:] < 0.0)
+    lam, a, b, fa = grid[row], rho[col], rho[col + 1], vals[row, col]
+    while np.max(b - a, initial=0.0) > 1e-10:
+        mid = 0.5 * (a + b)
+        fm = residual(problem, mid, lam)
+        left = fa * fm <= 0.0
+        a, b = np.where(left, a, mid), np.where(left, mid, b)
+        fa = np.where(left, fa, fm)
+    return lam, 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("geometry,protocol", [(S, Protocol.PLUS), (H, Protocol.MINUS)])
+@pytest.mark.parametrize(
+    "p,lambda_min", [(0.8, None), (0.9, None), (1.0, None), (1.0, 0.86)]
+)
+def test_continued_roots_match_a_dense_scan(geometry, protocol, p, lambda_min):
+    # lambda_min = 0.86 starts the grid far from the intercept (0, rho0)
+    problem = CurvatureProblem(geometry, weight(protocol, p))
+    lam_star = certified_axis_crossing(problem)[0]
+    grid = make_lambda_grid(problem, lam_star, lambda_min, None, DEFAULT_LAMBDA_STEPS)
+    curve = trace_curve(problem, grid)
+    lam, rho = dense_scan_roots(problem, grid)
+    assert [pt.lam for pt in curve.points] == lam.tolist()
+    assert np.max(np.abs(np.array([pt.rho for pt in curve.points]) - rho)) <= 1e-9
+    assert {pt.branch_id for pt in curve.points} == {0}
+
+
+@pytest.mark.parametrize("geometry", [S, H])
+def test_trace_is_empty_at_the_flat_weight(geometry):
+    # w = 2: the series condition has no root rho0 and Phi never changes sign
+    problem = CurvatureProblem(geometry, 2.0)
+    assert solver._series_intercept(problem) is None
+    grid = make_lambda_grid(problem, None, None, None, DEFAULT_LAMBDA_STEPS)
+    assert trace_curve(problem, grid).points == ()
+
+
+def test_guard_adds_roots_that_continuation_misses(monkeypatch):
+    grid = np.linspace(0.1, 1.2, 6)
+    reference = trace_curve(SPH_W1, grid)
+    # predict far off the branch with a tiny bracket: every correction fails
+    monkeypatch.setattr(solver, "_predict", lambda tail, lam: (math.pi, 1e-12))
+    guarded = trace_curve(SPH_W1, grid)
+    assert [pt.lam for pt in guarded.points] == grid.tolist()
+    for pt, ref in zip(guarded.points, reference.points):
+        assert abs(pt.rho - ref.rho) <= 1e-9
+    # each root is a new branch the guard started
+    assert [pt.branch_id for pt in guarded.points] == [1, 2, 3, 4, 5, 6]
 
 
 def test_certified_residuals_smooth_region():

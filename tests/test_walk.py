@@ -236,7 +236,9 @@ def test_ensemble_follows_the_chunk_seeded_stream_layout():
         met_total += np.count_nonzero(
             np.logical_or.accumulate(r <= eps, axis=0), axis=1
         )
-    assert np.array_equal(res.mean_r2, r2_total / 300)
+    expected = r2_total / 300
+    expected[0] = 1.2 * 1.2 + 0.4 * 0.4  # step 0 is |sep0|^2, not a rounded mean
+    assert np.array_equal(res.mean_r2, expected)
     assert np.array_equal(res.meeting_fraction, met_total / 300)
 
 
