@@ -12,11 +12,12 @@ The package has four layers:
   the unit hyperboloid, both as an explicit frame-and-rotation
   construction and as closed-form step-distance laws.
 * :mod:`entwalk.solver` -- angle-averaged squared step distance by
-  periodic quadrature, residuals of the implicit curvature-radius
+  nested tanh-sinh quadrature, residuals of the implicit curvature-radius
   equations, root finding, curve tracing and threshold extraction.
 
 ``entwalk.cli`` exposes the ``entwalk`` command with the ``msd``,
-``simulate``, ``curve``, ``threshold`` and ``verify`` subcommands.
+``simulate``, ``curve``, ``threshold`` and ``verify`` subcommands.  The
+names imported below are the public API.
 """
 
 from .correlations import outcome_probability
@@ -51,30 +52,3 @@ from .walk import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "outcome_probability",
-    "Protocol",
-    "ProtocolSpec",
-    "WalkState",
-    "EnsembleResult",
-    "weight",
-    "expected_sq_separation",
-    "mc_sq_separation",
-    "run_ensemble",
-    "GeometryKind",
-    "Frame",
-    "DegenerateConfigurationError",
-    "build_frames",
-    "QuadratureSpec",
-    "CurvatureProblem",
-    "CurvePoint",
-    "CurvatureCurve",
-    "ThresholdReport",
-    "mean_sq_step",
-    "small_lambda_series",
-    "residual",
-    "trace_curve",
-    "extract_thresholds",
-    "figure3_transform",
-]

@@ -177,31 +177,10 @@ def cmd_msd(cfg: RunConfig) -> int:
         mean, stderr = walk.mc_sq_separation(cfg.r, cfg.l, proto, cfg.samples, rng)
         z = (mean - analytic) / stderr
         worst = max(worst, abs(z))
-        rows.append(
-            [
-                name,
-                _fmt(proto.effective_p),
-                _fmt(cfg.r),
-                _fmt(cfg.l),
-                _fmt(analytic),
-                _fmt(mean),
-                _fmt(stderr),
-                str(cfg.samples),
-                _fmt(z),
-            ]
-        )
-    header = [
-        "protocol",
-        "p",
-        "r",
-        "l",
-        "analytic",
-        "mc_mean",
-        "mc_stderr",
-        "n_samples",
-        "z_score",
-    ]
-    _write_text(cfg, _csv(header, rows))
+        values = (proto.effective_p, cfg.r, cfg.l, analytic, mean, stderr)
+        rows.append([name, *map(_fmt, values), str(cfg.samples), _fmt(z)])
+    header = "protocol,p,r,l,analytic,mc_mean,mc_stderr,n_samples,z_score"
+    _write_text(cfg, _csv(header.split(","), rows))
     return EXIT_OK if worst <= 3.0 else EXIT_CHECK_FAILED
 
 
@@ -391,6 +370,37 @@ def _check_series(cfg: RunConfig) -> tuple[bool, str]:
     return ok, f"quartic ratios in [{worst_lo:.2f}, {worst_hi:.2f}] (need [14, 18])"
 
 
+#: Crease points of the spherical w = 1 curve (rho + 2 lam > pi).
+_CREASE_POINTS = ((1.369, 0.890), (1.033, 1.325), (0.399, 1.705))
+
+
+def _check_nested(cfg: RunConfig) -> tuple[bool, str]:
+    """``F`` by nested tanh-sinh against the folded trapezoid ``_quad_mean``.
+
+    Relative gap at random smooth points, where the 256-node trapezoid is
+    spectral; absolute gap at crease points, where the 2048-node one is
+    off by up to about 3e-9.
+    """
+    rng = np.random.default_rng([cfg.seed, 4])
+    rho, lam = rng.uniform(0.0, 1.0, (2, 20))
+    smooth = 0.0
+    for kind, rho_s, lam_s in (  # rho + 2 lam < pi - 0.27 on the sphere
+        (GeometryKind.SPHERICAL, 2.0 * rho, 0.01 + (math.pi / 2 - 0.15 - rho) * lam),
+        (GeometryKind.HYPERBOLIC, 4.0 * rho, 0.01 + 2.0 * lam),
+    ):
+        nested = solver.mean_sq_step(kind, rho_s, lam_s, cfg.quadrature())
+        ref = solver._quad_mean(kind, rho_s, lam_s, 256)
+        smooth = max(smooth, float(np.max(np.abs(nested / ref - 1.0))))
+    rho, lam = np.array(_CREASE_POINTS).T
+    crease = float(np.max(np.abs(
+        solver.mean_sq_step(GeometryKind.SPHERICAL, rho, lam, cfg.quadrature())
+        - solver._quad_mean(GeometryKind.SPHERICAL, rho, lam, 2048))))
+    return smooth <= 1e-13 and crease <= 1e-8, (
+        f"smooth rel {smooth:.1e} (bound 1e-13), "
+        f"crease vs 2048 nodes {crease:.1e} (bound 1e-08)"
+    )
+
+
 def _check_roots(cfg: RunConfig) -> tuple[bool, str]:
     quad = cfg.quadrature()
     worst = 0.0
@@ -416,6 +426,7 @@ VERIFY_CHECKS = [
     ("msd-mc-vs-analytic", _check_msd),
     ("closed-vs-construction", _check_oracles),
     ("quadrature-vs-series", _check_series),
+    ("nested-vs-trapezoid", _check_nested),
     ("root-certification", _check_roots),
 ]
 
@@ -441,7 +452,8 @@ _FLAGS = {
     "--seed": dict(type=int, help="master seed (default 0)"),
     "--out": dict(type=str, help="output path (default stdout)"),
     "--config": dict(type=str, help="key=value config file"),
-    "--quad-nodes": dict(type=int, help="quadrature nodes per axis (default 128)"),
+    "--quad-nodes": dict(type=int, help="about this many tanh-sinh nodes per "
+                         "azimuth axis: m = n // 4 (default 128)"),
     "--protocol": dict(choices=sorted(_PROTOCOLS), help="step protocol"),
     "--p": dict(type=float, help="mixing parameter in [0, 1]"),
     "--r": dict(type=float, help="initial separation (default 1)"),

@@ -75,31 +75,30 @@ def minkowski_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def arccosh_from_excess(w: np.ndarray) -> np.ndarray:
-    """``arccosh(1 + w)`` for ``w >= 0``, accurate down to tiny ``w``.
+    """``arccosh(1 + w)`` for ``w >= 0``, to full relative accuracy at tiny ``w``.
 
-    Uses ``log1p(w + sqrt(2w + w^2))`` generally and the square-root
-    series below ``w = 1e-8``, preserving the relative accuracy of small
-    distances (they get squared and averaged downstream).
-    """
-    w = np.asarray(w, dtype=float)
-    out = np.empty_like(w)
-    small = w < 1e-8
-    ws = w[small]
-    out[small] = np.sqrt(2.0 * ws) * (1.0 - ws / 12.0)
-    wl = w[~small]
-    out[~small] = np.log1p(wl + np.sqrt(wl * (2.0 + wl)))
-    return out
+    Never forming ``1 + w`` keeps small distances, squared downstream, exact."""
+    return np.log1p(w + np.sqrt(w * (2.0 + w)))
 
 
-def _check_domain(geometry: GeometryKind, rho: np.ndarray, lam: np.ndarray) -> None:
-    if np.any(rho < 0.0) or np.any(lam < 0.0):
+def _extent(x) -> tuple:
+    """``(min, max)`` of a float or an array (``(inf, -inf)`` when empty)."""
+    if isinstance(x, float):
+        return x, x
+    return np.min(x, initial=math.inf), np.max(x, initial=-math.inf)
+
+
+def _check_domain(geometry: GeometryKind, rho, lam) -> None:
+    """Raise unless ``rho`` and ``lam`` (floats or arrays) lie in the domain."""
+    rho_lo, rho_hi = _extent(rho)
+    lam_lo, lam_hi = _extent(lam)
+    if rho_lo < 0.0 or lam_lo < 0.0:
         raise ValueError("rho and lam must be nonnegative")
     if geometry is GeometryKind.SPHERICAL:
-        if np.any(rho > math.pi):
+        if rho_hi > math.pi:
             raise ValueError("spherical separations cannot exceed pi")
-    else:
-        if np.any(rho > RHO_CAP) or np.any(lam > RHO_CAP):
-            raise ValueError(f"hyperbolic rho and lam are capped at {RHO_CAP}")
+    elif rho_hi > RHO_CAP or lam_hi > RHO_CAP:
+        raise ValueError(f"hyperbolic rho and lam are capped at {RHO_CAP}")
 
 
 def _check_nondegenerate(rho: np.ndarray, geometry: GeometryKind) -> None:
@@ -174,25 +173,26 @@ def _rotate_about(v: np.ndarray, axis: np.ndarray, angle: np.ndarray) -> np.ndar
 
 
 def _invert_cos(x: np.ndarray) -> np.ndarray:
-    over = np.maximum(np.abs(x) - 1.0, 0.0)
-    if np.any(over > ARG_SLACK):
+    excess = np.max(np.abs(x), initial=0.0) - 1.0
+    if excess > ARG_SLACK:
         raise ValueError(
             "cosine of a distance strayed outside [-1, 1] beyond rounding "
-            f"slack (max excess {float(np.max(over)):.3e}); numerical bug"
+            f"slack (max excess {excess:.3e}); numerical bug"
         )
     return np.arccos(np.clip(x, -1.0, 1.0))
 
 
 def _invert_cosh(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
     # Rounding in the formula scales with its dominant term, so the
-    # admissible undershoot of 1 does too.
-    slack = ARG_SLACK * (1.0 + np.asarray(scale))
-    under = np.maximum(1.0 - x, 0.0)
-    if np.any(under > slack):
-        raise ValueError(
-            "cosh of a distance dipped below 1 beyond rounding slack "
-            f"(max deficit {float(np.max(under)):.3e}); numerical bug"
-        )
+    # admissible undershoot of 1 does too.  ``scale >= 1``, so a minimum
+    # within ``ARG_SLACK`` of 1 passes without the per-element test.
+    if np.min(x, initial=1.0) < 1.0 - ARG_SLACK:
+        under = np.max(1.0 - x - ARG_SLACK * (1.0 + scale), initial=0.0)
+        if under > 0.0:
+            raise ValueError(
+                "cosh of a distance dipped below 1 beyond rounding slack "
+                f"(max deficit {under:.3e} past the slack); numerical bug"
+            )
     return arccosh_from_excess(np.maximum(x - 1.0, 0.0))
 
 

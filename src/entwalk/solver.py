@@ -11,19 +11,15 @@ protocol weight from :mod:`entwalk.walk`: the sphere pairs with the
 attractive rule (``w = 2 - p``), the hyperboloid with the repulsive one
 (``w = 2 + p``).
 
-``F`` is evaluated by tensor-product periodic trapezoidal quadrature over
-the two azimuths.  The integrand is invariant under
-``(phi_a, phi_b) -> (-phi_a, -phi_b)`` and
-``(phi_a, phi_b) -> (pi - phi_b, pi - phi_a)``, so the n x n rule is summed
-over the about ``n^2 / 4`` nodes of a fundamental domain, each weighted by
-the size of its orbit: the same rule on fewer evaluations, equal to the
-full sum up to rounding.  That rule is spectrally accurate wherever the
-integrand is smooth; on the sphere the squared geodesic distance develops
-a crease along configurations whose step geodesics wrap past the antipode
-(``rho + 2 lam > pi``), which slows convergence there.  Root finding
-therefore supports per-point escalation: a root located on one grid can
-be re-solved on successively doubled grids until its residual under yet
-another doubling meets the certification tolerance.
+``F`` is evaluated by nested tanh-sinh quadrature (``_nested_mean``):
+the outer integral runs over B's step azimuth, the inner one over A's
+step taken from B's new position.  On the sphere the squared distance
+has a crease where A's step can reach B's antipode; the outer integral
+is split there, and the double-exponential node clustering at the ends
+of each piece keeps the rule's accuracy at the crease.  The folded
+periodic trapezoid ``_quad_mean`` stays as an independent second route.
+Certification re-evaluates each root's residual on twice the nodes and,
+should that fail, re-solves it on doubled grids.
 
 Solution points of
 
@@ -42,6 +38,7 @@ the test suite re-derives it from quadrature fits before trusting it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,6 +50,7 @@ from .geometry import (
     _check_domain,
     _invert_cos,
     _invert_cosh,
+    arccosh_from_excess,
 )
 
 DEFAULT_SCAN_PANELS = 512
@@ -84,15 +82,16 @@ _RHO_MAX = {
 #: Coarse ``rho`` panels per ``lam`` of the guard scan behind continuation.
 _GUARD_PANELS = 64
 
-# Quadrature temporaries are kept near this many float64 elements (1 MB):
-# large enough that per-call overhead stays small, small enough that a
-# whole guard scan or a 4096-node check streams through cache.
-_CHUNK_BUDGET = 1 << 17
+# Quadrature temporaries hold at most this many float64 elements (128 KB),
+# under malloc's default mmap threshold: larger ones are mapped and
+# page-faulted afresh on every call, which doubles the kernel's time.
+_CHUNK_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Nodes per azimuth axis for the periodic trapezoidal rule."""
+    """About ``nodes_per_axis`` nodes per azimuth axis: ``F`` uses the
+    ``2m + 1``-node tanh-sinh rule, ``m = nodes_per_axis // 4``, on each piece."""
 
     nodes_per_axis: int = 128
 
@@ -155,8 +154,8 @@ class CertifiedCurve:
     """A traced curve after per-point refinement, with certification data.
 
     ``certified[i]`` is the residual of ``curve.points[i]`` re-evaluated
-    under a grid twice as fine as the one the point was solved on;
-    ``nodes[i]`` is that solving grid's nodes-per-axis.
+    on twice the nodes the point was solved on; ``nodes[i]`` is that
+    solving resolution, ``QuadratureSpec.nodes_per_axis``.
     """
 
     curve: CurvatureCurve
@@ -180,12 +179,10 @@ class PaperComparison:
 class ThresholdReport:
     """Endpoints and ratio bounds extracted from the certified curve.
 
-    ``ratio_extrema`` maps branch id to ``(inf, sup)`` of ``lam / rho``
-    over the branch's certified grid points with ``rho > 0``, the points
-    ``curve`` prints; ``nu_slope`` is the slope between the two
-    smallest-``lam`` certified points of the hyperbolic branch, so it
-    depends on the grid (reported, not asserted).  Fields are ``None``
-    when no root exists in the scan range.
+    ``ratio_extrema`` maps branch id to ``(inf, sup)`` of ``lam / rho`` over
+    the rows ``curve`` prints; ``nu_slope`` is the slope between the two
+    smallest-``lam`` hyperbolic points, so it depends on the grid.  Fields
+    are ``None`` when no root exists in the scan range.
     """
 
     geometry: GeometryKind
@@ -207,24 +204,20 @@ class Figure3Point:
 def _quad_mean(
     geometry: GeometryKind, rho: np.ndarray, lam: np.ndarray, n: int
 ) -> np.ndarray:
-    """Trapezoid mean of the squared step law over the n x n azimuth grid.
+    """Folded periodic trapezoid of ``F`` on the n x n azimuth grid.
 
-    In the sum and difference indices ``s = i + j``, ``t = i - j`` (mod n)
-    the step law reads
+    In the sum and difference indices ``s = i + j``, ``t = i - j`` (mod n),
+    with ``u_k = sin(pi k / n)``, ``G = sin(lam)^2`` and
+    ``R = 2 sin(rho) cos(lam) sin(lam)`` (``cosh``/``sinh`` and
+    ``G = -sinh(lam)^2`` on the hyperboloid) the step law reads
 
         cos d = cos rho - G (cos rho + 1) u_t^2 - G (cos rho - 1) u_s^2 +- R u_s u_t
 
-    with ``u_k = sin(pi k / n)``, ``G = sin(lam)^2`` and
-    ``R = 2 sin(rho) cos(lam) sin(lam)`` (``cosh``/``sinh`` throughout on
-    the hyperboloid, where ``G = -sinh(lam)^2``).  The two signs are the
-    two grid nodes ``(i, j)`` and ``(i + n/2, j + n/2)`` that share
-    ``(s, t)``.  Flipping the sign of ``s`` or of ``t`` leaves that pair
-    of values unchanged, so only ``0 <= s, t <= n/2`` with
-    ``s = t (mod 2)`` is evaluated, each node weighted by the size of its
-    orbit: about ``n^2 / 4`` nodes instead of ``n^2``.  Every grid node is
-    the image of an evaluated one, so the range checks see every value
-    the full grid holds.  Written in ``u^2`` rather than cosines, nodes at
-    distance 0 or (at ``rho = pi``) at the antipode come out exact.
+    The two signs are the nodes ``(i, j)`` and ``(i + n/2, j + n/2)``;
+    only ``0 <= s, t <= n/2`` with ``s = t (mod 2)`` is evaluated, each
+    node weighted by the size of its orbit.  In ``u^2`` form, distance 0 and
+    the antipode come out exact.  Spectral where the integrand is smooth,
+    algebraic at the spherical crease: the independent reference route.
     """
     spherical = geometry is GeometryKind.SPHERICAL
     if spherical:
@@ -246,27 +239,108 @@ def _quad_mean(
         u2 = u * u
         weight = np.where((k == 0) | (k == half), 1.0, 2.0)
         pts = max(1, _CHUNK_BUDGET // (k.size * k.size))
-        rows = max(1, _CHUNK_BUDGET // (pts * k.size))
         for lo in range(0, rho.size, pts):
             sel = slice(lo, lo + pts)
             # s runs along axis 1, t along axis 2
-            from_t = (cr[sel, None] - along_t[sel, None] * u2)[:, None, :]
-            from_s = along_s[sel, None] * u2
-            cross_s = cross[sel, None] * u
-            for r0 in range(0, k.size, rows):
-                blk = slice(r0, r0 + rows)
-                base = from_t - from_s[:, blk, None]
-                mixed = cross_s[:, blk, None] * u
-                if spherical:
-                    d_plus = _invert_cos(base + mixed)
-                    d_minus = _invert_cos(base - mixed)
-                else:
-                    sc = scale[sel, None, None]
-                    d_plus = _invert_cosh(base + mixed, sc)
-                    d_minus = _invert_cosh(base - mixed, sc)
-                sq = d_plus * d_plus + d_minus * d_minus
-                out[sel] += np.einsum("kst,s,t->k", sq, weight[blk], weight)
+            base = (cr[sel, None] - along_t[sel, None] * u2)[:, None, :] - (
+                along_s[sel, None] * u2
+            )[:, :, None]
+            mixed = (cross[sel, None] * u)[:, :, None] * u
+            if spherical:
+                d_plus = _invert_cos(base + mixed)
+                d_minus = _invert_cos(base - mixed)
+            else:
+                sc = scale[sel, None, None]
+                d_plus = _invert_cosh(base + mixed, sc)
+                d_minus = _invert_cosh(base - mixed, sc)
+            sq = d_plus * d_plus + d_minus * d_minus
+            out[sel] += np.einsum("kst,s,t->k", sq, weight, weight)
     return out / (n * n)
+
+
+@functools.cache
+def _tanh_sinh(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes ``t``, weights and ``1 - cos(pi t)`` of tanh-sinh on [0, 1].
+
+    ``t = (1 + x) / 2``, ``x = tanh(pi/2 sinh(kh))``, ``k = -m .. m``, ``h = 3.2 / m``.
+    """
+    kh = (3.2 / m) * np.arange(-m, m + 1)
+    u = 0.5 * math.pi * np.sinh(kh)
+    t = 1.0 / (1.0 + np.exp(-2.0 * u))
+    w = (0.8 / m) * math.pi * np.cosh(kh) / np.cosh(u) ** 2
+    rule = (t, w, 2.0 * np.sin(0.5 * math.pi * t) ** 2)
+    for a in rule:  # cached and shared by every caller
+        a.flags.writeable = False
+    return rule
+
+
+def _nested_mean(
+    geometry: GeometryKind, rho: np.ndarray, lam: np.ndarray, m: int
+) -> np.ndarray:
+    """``F`` for ``lam > 0`` by nested tanh-sinh quadrature, ``2m + 1`` nodes a piece.
+
+        F = (1/pi) int_0^pi h(theta(phi)) dphi,  h = (1/pi) int_0^pi d^2 dalpha
+        cos theta = cos rho cos lam + sin rho sin lam cos phi
+        cos d = cos lam cos theta + sin lam sin theta cos alpha
+
+    (``cosh``, ``sinh`` and minus signs on the hyperboloid, both laws kept
+    in excess form there).  One row per outer node holds ``cos d = P + Q
+    (1 - cos alpha)`` (``cosh d - 1`` on the hyperboloid).  On the sphere
+    ``h`` kinks at ``theta = pi - lam``, ``cos phi* = -cos lam (1 + cos rho)
+    / (sin rho sin lam)``; where that lies in (-1, 1) the outer integral is
+    split there.  The node clustering at the ends of each piece resolves
+    the kink and the inner near-cone at ``alpha = pi``.
+    """
+    spherical = geometry is GeometryKind.SPHERICAL
+    t, w, v = _tanh_sinh(m)
+    pts = max(1, _CHUNK_BUDGET // (2 * t.size))
+    if rho.size > pts:
+        return np.concatenate(
+            [_nested_mean(geometry, rho[i : i + pts], lam[i : i + pts], m)
+             for i in range(0, rho.size, pts)]
+        )
+    owner = np.arange(rho.size)
+    lo = np.zeros(rho.size)
+    span = np.full(rho.size, math.pi)
+    if spherical:
+        sr, sl = np.sin(rho), np.sin(lam)
+        num, den = -np.cos(lam) * (1.0 + np.cos(rho)), sr * sl  # cos phi*
+        split = np.flatnonzero(np.abs(num) < den)
+        phi_star = np.arccos(num[split] / den[split])
+        span[split] = phi_star
+        owner = np.concatenate([owner, split])
+        lo = np.concatenate([lo, phi_star])
+        span = np.concatenate([span, math.pi - phi_star])
+    else:
+        sr, sl = np.sinh(rho), np.sinh(lam)
+
+    # one row per outer node
+    phi = (lo[:, None] + span[:, None] * t).ravel()
+    row_w = (span[:, None] * (w / math.pi)).ravel()
+    owner = np.repeat(owner, t.size)
+    half_sq = np.sin(0.5 * phi) ** 2
+    slope, sin_l = (sr * sl)[owner], sl[owner]
+    if spherical:
+        # (1 - cos theta) / 2 and (1 + cos theta) / 2, sums of squares
+        a = (np.sin(0.5 * (rho - lam)) ** 2)[owner] + slope * half_sq
+        b = (np.cos(0.5 * (rho + lam)) ** 2)[owner] + slope * (1.0 - half_sq)
+        q = -2.0 * sin_l * np.sqrt(a * b)
+        p = np.cos(lam)[owner] * (b - a) - q
+    else:
+        # cosh theta - 1
+        excess = 2.0 * ((np.sinh(0.5 * (rho - lam)) ** 2)[owner] + slope * half_sq)
+        p = 2.0 * np.sinh(0.5 * (arccosh_from_excess(excess) - lam[owner])) ** 2
+        q = sin_l * np.sqrt(excess * (2.0 + excess))
+
+    h = np.empty(phi.size)
+    rows = max(1, _CHUNK_BUDGET // t.size)
+    for i in range(0, phi.size, rows):
+        x = np.multiply.outer(q[i : i + rows], v)
+        x += p[i : i + rows, None]
+        d = _invert_cos(x) if spherical else arccosh_from_excess(x)
+        d *= d
+        h[i : i + rows] = d @ w
+    return np.bincount(owner, weights=row_w * h, minlength=rho.size)
 
 
 def mean_sq_step(
@@ -277,31 +351,26 @@ def mean_sq_step(
 ):
     """Angle-averaged squared step distance ``F(rho, lam)``.
 
-    ``rho`` and ``lam`` may be scalars or broadcastable arrays; the
-    average runs over both azimuths on a uniform periodic grid.  A zero
-    step returns ``rho**2`` exactly.
+    ``rho`` and ``lam`` are floats or broadcastable arrays; ``F`` comes from
+    ``_nested_mean`` with ``m = nodes_per_axis // 4``.  A zero step gives
+    ``rho**2`` exactly.
     """
-    rho_in = np.asarray(rho, dtype=float)
-    lam_in = np.asarray(lam, dtype=float)
-    scalar = rho_in.ndim == 0 and lam_in.ndim == 0
-    rho_b, lam_b = np.broadcast_arrays(rho_in, lam_in)
+    m = quad.nodes_per_axis // 4
+    if np.ndim(rho) == 0 and np.ndim(lam) == 0:
+        rho, lam = float(rho), float(lam)
+        _check_domain(geometry, rho, lam)
+        if lam == 0.0:
+            return rho * rho
+        return float(_nested_mean(geometry, np.array([rho]), np.array([lam]), m)[0])
+
+    rho_b, lam_b = np.broadcast_arrays(
+        np.asarray(rho, dtype=float), np.asarray(lam, dtype=float)
+    )
     _check_domain(geometry, rho_b, lam_b)
-
-    flat_rho = rho_b.ravel()
-    flat_lam = lam_b.ravel()
-    out = np.empty(flat_rho.shape)
-
-    moving = flat_lam > 0.0
-    out[~moving] = flat_rho[~moving] ** 2
-
-    idx = np.nonzero(moving)[0]
-    if idx.size:
-        n = quad.nodes_per_axis
-        out[idx] = _quad_mean(geometry, flat_rho[idx], flat_lam[idx], n)
-
-    if scalar:
-        return float(out[0])
-    return out.reshape(rho_b.shape)
+    out = rho_b * rho_b
+    moving = lam_b > 0.0
+    out[moving] = _nested_mean(geometry, rho_b[moving], lam_b[moving], m)
+    return out
 
 
 def small_lambda_series(geometry: GeometryKind, rho):
@@ -327,10 +396,12 @@ def residual(
     quad: QuadratureSpec = QuadratureSpec(),
 ):
     """``Phi = F(rho, lam) - rho^2 - w lam^2``; zero at solution points."""
-    rho_arr = np.asarray(rho, dtype=float)
-    lam_arr = np.asarray(lam, dtype=float)
-    f = mean_sq_step(problem.geometry, rho_arr, lam_arr, quad)
-    return f - (rho_arr**2 + problem.w * lam_arr**2)
+    f = mean_sq_step(problem.geometry, rho, lam, quad)
+    if isinstance(f, float):
+        rho, lam = float(rho), float(lam)
+    else:
+        rho, lam = np.asarray(rho, dtype=float), np.asarray(lam, dtype=float)
+    return f - (rho * rho + problem.w * lam * lam)
 
 
 def _find_roots(f, lo: float, hi: float, exclude_lo: bool = False) -> list[float]:
@@ -354,9 +425,7 @@ def _find_roots(f, lo: float, hi: float, exclude_lo: bool = False) -> list[float
     b_hi = xs[1:][bracket]
     f_lo = fs[:-1][bracket]
     if b_lo.size:
-        lo_arr = b_lo.copy()
-        hi_arr = b_hi.copy()
-        flo = f_lo.copy()
+        lo_arr, hi_arr, flo = b_lo, b_hi, f_lo
         width = (hi - lo) / DEFAULT_SCAN_PANELS
         max_iter = max(1, int(math.ceil(math.log2(width / DEFAULT_BISECT_TOL))) + 2)
         for _ in range(max_iter):
@@ -550,14 +619,11 @@ def _refine_scalar_root(
 def _certify_root(phi, x: float, res: float | None, hi: float, n: int):
     """Certify one root ``x`` of ``phi`` in ``[0, hi]``, escalating where needed.
 
-    ``phi(x, n)`` is the residual at ``x`` on ``n`` nodes per axis; ``x``
-    was solved on ``n`` nodes, where its residual is ``res``.  The root
-    certifies when its residual on twice as many nodes is within
-    ``CERTIFICATION_TOL``.  Otherwise it is re-solved on the doubled grid
-    and checked again, up to ``MAX_CERTIFY_NODES`` nodes per axis or until
-    the finer residual has no sign change near ``x``.  Returns
-    ``(x, res, cert, n)``: the root, its residual on the ``n`` nodes it
-    was last solved on, and its residual on ``2n``.
+    ``phi(x, n)`` is the residual on ``QuadratureSpec(n)``; ``x`` was solved
+    on ``n``, with residual ``res``.  The root certifies when its residual
+    on ``2n`` is within ``CERTIFICATION_TOL``; otherwise it is re-solved on
+    ``2n`` and checked again, up to ``MAX_CERTIFY_NODES`` or until no sign
+    change is left near ``x``.  Returns ``(x, res, cert, n)``.
     """
     while True:
         cert = float(phi(x, 2 * n))
@@ -576,56 +642,32 @@ def certify_curve(
     curve: CurvatureCurve,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> CertifiedCurve:
-    """Certify every traced point, escalating quadrature where needed.
-
-    Each point is checked by re-evaluating its residual on a grid twice
-    as fine as the grid it was solved on.  Points that fail are re-solved
-    on the doubled grid and re-checked, doubling up to
-    ``MAX_CERTIFY_NODES`` nodes per axis; this handles the crease the
-    spherical integrand develops where step geodesics wrap past the
-    antipode, which degrades the trapezoidal rule from spectral accuracy
-    to a fixed algebraic order locally.
-    """
-    rho_hi = _RHO_MAX[problem.geometry]
-    out_points: list[CurvePoint] = []
-    certified: list[float] = []
-    nodes_used: list[int] = []
-    for pt in curve.points:
-
-        def phi(x, n, lam=pt.lam):
-            return residual(problem, float(x), lam, QuadratureSpec(n))
-
-        rho, res, cert, n = _certify_root(
-            phi, pt.rho, pt.residual, rho_hi, quad.nodes_per_axis
+    """Certify every traced point by ``_certify_root``, from ``quad`` up."""
+    done = [
+        _certify_root(
+            lambda x, n, lam=pt.lam: residual(problem, x, lam, QuadratureSpec(n)),
+            pt.rho, pt.residual, _RHO_MAX[problem.geometry], quad.nodes_per_axis,
         )
-        out_points.append(
-            CurvePoint(lam=pt.lam, rho=rho, residual=res, branch_id=pt.branch_id)
-        )
-        certified.append(cert)
-        nodes_used.append(n)
+        for pt in curve.points
+    ]
     return CertifiedCurve(
-        curve=CurvatureCurve(tuple(out_points)),
-        certified=np.array(certified),
-        nodes=np.array(nodes_used, dtype=int),
+        curve=CurvatureCurve(tuple(
+            CurvePoint(lam=pt.lam, rho=rho, residual=res, branch_id=pt.branch_id)
+            for pt, (rho, res, _, _) in zip(curve.points, done)
+        )),
+        certified=np.array([cert for _, _, cert, _ in done]),
+        nodes=np.array([n for *_, n in done], dtype=int),
     )
 
 
 def axis_crossing(
     problem: CurvatureProblem, quad: QuadratureSpec = QuadratureSpec()
 ) -> float | None:
-    """Smallest positive root of ``F(0, lam) = w lam^2``, if any.
-
-    This is where the solution curve meets the ``rho = 0`` axis; the
-    closed-form step law is smooth there even though the frame
-    construction degenerates.
-    """
-    lam_hi = _LAMBDA_SCAN_MAX[problem.geometry]
-
-    def g(lam_vec):
-        lam_vec = np.asarray(lam_vec, dtype=float)
-        return residual(problem, np.zeros_like(lam_vec), lam_vec, quad)
-
-    roots = _find_roots(g, 0.0, lam_hi, exclude_lo=True)
+    """First positive root of ``F(0, lam) = w lam^2``: the curve meets ``rho = 0``."""
+    roots = _find_roots(
+        lambda lam: residual(problem, 0.0, lam, quad),
+        0.0, _LAMBDA_SCAN_MAX[problem.geometry], exclude_lo=True,
+    )
     return roots[0] if roots else None
 
 
@@ -636,12 +678,9 @@ def certified_axis_crossing(
     lam_star = axis_crossing(problem, quad)
     if lam_star is None:
         return None
-
-    def phi(x, n):
-        return residual(problem, 0.0, float(x), QuadratureSpec(n))
-
     lam_star, _, cert, n = _certify_root(
-        phi, lam_star, None, _LAMBDA_SCAN_MAX[problem.geometry], quad.nodes_per_axis
+        lambda x, n: residual(problem, 0.0, x, QuadratureSpec(n)),
+        lam_star, None, _LAMBDA_SCAN_MAX[problem.geometry], quad.nodes_per_axis,
     )
     return lam_star, cert, n
 
@@ -649,18 +688,12 @@ def certified_axis_crossing(
 def _series_intercept(problem: CurvatureProblem) -> float | None:
     """Root of ``small_lambda_series(rho) = w``: the ``lam -> 0`` intercept."""
     geometry = problem.geometry
-    if geometry is GeometryKind.SPHERICAL:
-        lo, hi = 1e-9, math.pi * (1.0 - 1e-12)
-    else:
-        lo, hi = 1e-9, _LAMBDA_SCAN_MAX[geometry]
-
-    def h(rho_vec):
-        return (
-            small_lambda_series(geometry, np.asarray(rho_vec, dtype=float))
-            - problem.w
-        )
-
-    roots = _find_roots(h, lo, hi, exclude_lo=True)
+    hi = (math.pi * (1.0 - 1e-12) if geometry is GeometryKind.SPHERICAL
+          else _LAMBDA_SCAN_MAX[geometry])
+    roots = _find_roots(
+        lambda rho: small_lambda_series(geometry, rho) - problem.w,
+        1e-9, hi, exclude_lo=True,
+    )
     return roots[0] if roots else None
 
 
@@ -673,9 +706,8 @@ def certified_curve(
 ) -> tuple[tuple[float, float, int] | None, np.ndarray, CertifiedCurve]:
     """The one certified curve behind ``curve``, ``threshold`` and ``verify``.
 
-    Returns ``(axis, grid, certified)``: the ``certified_axis_crossing``
-    (or None), the ``make_lambda_grid`` grid built on it, and the curve
-    traced over that grid and passed through ``certify_curve``.
+    Returns ``(certified_axis_crossing or None, make_lambda_grid grid,
+    the traced curve passed through certify_curve)``.
     """
     axis = certified_axis_crossing(problem, quad)
     grid = make_lambda_grid(
@@ -693,20 +725,13 @@ def extract_thresholds(
 ) -> ThresholdReport:
     """Endpoints, ratio bounds and the 0.64 comparison for one problem.
 
-    ``lambda_star`` is the certified axis crossing of ``F(0, lam) = w lam^2``
-    (the value ``curve`` appends as its axis row); ``rho0`` the small-step
-    intercept from the series condition.  Ratio extrema of ``lam / rho``
-    are taken per branch over ``certified_curve``'s points, the rows
-    ``curve`` prints for the same bounds.  The
-    comparison status is ``consistent`` when some branch's infimum of
-    ``lam / rho`` falls within +/-0.02 of the reference value 0.64, else
-    ``discrepant``; the report is emitted either way.
+    ``lambda_star`` is the certified axis crossing (``curve``'s axis row),
+    ``rho0`` the small-step intercept from the series condition, and the
+    ``lam / rho`` extrema are taken per branch over ``certified_curve``'s
+    points, the rows ``curve`` prints.  The status is ``consistent`` when
+    some branch's infimum lies within +/-0.02 of 0.64, else ``discrepant``.
     """
-    axis, _, cert = certified_curve(
-        problem, quad, lambda_min, lambda_max, lambda_steps
-    )
-    lambda_star = axis[0] if axis is not None else None
-    rho0 = _series_intercept(problem)
+    axis, _, cert = certified_curve(problem, quad, lambda_min, lambda_max, lambda_steps)
     curve = cert.curve
 
     ratios: dict[int, list[float]] = {}
@@ -725,27 +750,16 @@ def extract_thresholds(
             nu_slope = (p1.rho - p0.rho) / (p1.lam - p0.lam)
 
     paper_value = 0.64
-    computed = None
-    if ratio_extrema:
-        computed = min(
-            (inf for inf, _ in ratio_extrema.values()),
-            key=lambda v: abs(v - paper_value),
-        )
-    status = (
-        "consistent"
-        if computed is not None and abs(computed - paper_value) <= 0.02
-        else "discrepant"
+    computed = min(
+        (inf for inf, _ in ratio_extrema.values()),
+        key=lambda v: abs(v - paper_value),
+        default=None,
     )
+    close = computed is not None and abs(computed - paper_value) <= 0.02
     return ThresholdReport(
-        geometry=problem.geometry,
-        w=problem.w,
-        lambda_star=lambda_star,
-        rho0=rho0,
-        ratio_extrema=ratio_extrema,
-        nu_slope=nu_slope,
-        paper_comparison=PaperComparison(
-            status=status, paper_value=paper_value, computed_inf_ratio=computed
-        ),
+        problem.geometry, problem.w, axis[0] if axis is not None else None,
+        _series_intercept(problem), ratio_extrema, nu_slope,
+        PaperComparison("consistent" if close else "discrepant", paper_value, computed),
     )
 
 

@@ -338,6 +338,7 @@ def test_verify_default_passes(tmp_path, capsys):
         "msd-mc-vs-analytic",
         "closed-vs-construction",
         "quadrature-vs-series",
+        "nested-vs-trapezoid",
         "root-certification",
     ):
         assert f"PASS {name}" in captured

@@ -222,6 +222,30 @@ def test_arccosh_from_excess_matches_mpmath():
         assert got == pytest.approx(expected, rel=1e-13, abs=1e-300)
 
 
+def test_arccosh_from_excess_relative_accuracy_at_tiny_excess():
+    # 2 asinh(sqrt(w / 2)) never forms 1 + w, so it stays exact at 60 digits
+    mpmath.mp.dps = 60
+    eps = np.finfo(float).eps
+    for w in (1e-20, 1e-12, 1e-9):
+        expected = 2 * mpmath.asinh(mpmath.sqrt(mpmath.mpf(w) / 2))
+        got = mpmath.mpf(float(arccosh_from_excess(np.asarray(w))))
+        assert abs(got / expected - 1) <= 1.11 * eps
+
+
+def test_inverse_guards_raise_on_arrays_and_ignore_scale_within_slack():
+    with pytest.raises(ValueError):
+        _invert_cos(np.array([0.5, -0.2, 1.0 + 2e-12]))
+    with pytest.raises(ValueError):
+        _invert_cos(np.array([[0.1], [-1.0 - 2e-12]]))
+    # the admissible deficit grows with the scale of the formula's terms
+    x = np.array([1.0, 1.0 - 5e-12, 2.0])
+    with pytest.raises(ValueError):
+        _invert_cosh(x, np.array([1.0, 1.0, 1.0]))
+    assert _invert_cosh(x, np.array([1.0, 10.0, 1.0]))[1] == 0.0
+    assert _invert_cos(np.empty(0)).size == 0
+    assert _invert_cosh(np.empty(0), np.empty(0)).size == 0
+
+
 def test_inverse_guards_flag_numerical_bugs():
     with pytest.raises(ValueError):
         _invert_cos(np.array(1.5))

@@ -73,12 +73,12 @@ def test_zero_zero_is_zero():
     assert mean_sq_step(H, 0.0, 0.0) == 0.0
 
 
-def test_mean_sq_step_agrees_with_manual_grid_average(monkeypatch):
+def test_quad_mean_agrees_with_manual_grid_average(monkeypatch):
     # n/2 even and odd; rho = 0, the antipode and a crease point
-    # (rho + 2 lam > pi) as scalars; a mixed-lam array split over several
-    # point chunks and, at the larger n, several row blocks.
+    # (rho + 2 lam > pi) as single points; a mixed-lam array split over
+    # several point chunks.
     monkeypatch.setattr(solver, "_CHUNK_BUDGET", 64)
-    scalars = {
+    singles = {
         S: ((1.3, 0.8), (0.0, 0.8), (math.pi, 0.8), (1.0, 1.2)),
         H: ((2.1, 0.8), (0.0, 0.8)),
     }
@@ -90,19 +90,105 @@ def test_mean_sq_step_agrees_with_manual_grid_average(monkeypatch):
         return float(np.mean(d * d))
 
     for n in (16, 18, 64, 130):
-        quad = QuadratureSpec(n)
         phi = TWO_PI * np.arange(n) / n
-        for geometry, points in scalars.items():
+        for geometry, points in singles.items():
             for rho, lam in points:
-                assert mean_sq_step(geometry, rho, lam, quad) == pytest.approx(
+                got = solver._quad_mean(geometry, np.array([rho]), np.array([lam]), n)
+                assert got[0] == pytest.approx(
                     manual(geometry, rho, lam, phi), rel=1e-13
                 )
             expected = [
                 manual(geometry, r, l, phi) for r, l in zip(mixed_rho, mixed_lam)
             ]
-            assert mean_sq_step(geometry, mixed_rho, mixed_lam, quad) == pytest.approx(
-                expected, rel=1e-13
-            )
+            got = solver._quad_mean(geometry, mixed_rho, mixed_lam, n)
+            assert got == pytest.approx(expected, rel=1e-13)
+
+
+def smooth_points(geometry, count, seed):
+    """Random points where the folded trapezoid converges spectrally."""
+    rng = np.random.default_rng(seed)
+    if geometry is S:
+        rho = rng.uniform(0.0, 2.0, count)
+        lam = rng.uniform(0.01, 1.0, count) * (math.pi - 0.3 - rho) / 2.0
+    else:
+        rho = rng.uniform(0.0, 4.0, count)
+        lam = rng.uniform(0.01, 2.0, count)
+    return rho, lam
+
+
+@pytest.mark.parametrize("geometry", [S, H])
+def test_nested_matches_the_trapezoid_at_smooth_points(geometry):
+    rho, lam = smooth_points(geometry, 40, 5)
+    nested = mean_sq_step(geometry, rho, lam)
+    trapezoid = solver._quad_mean(geometry, rho, lam, 256)
+    assert np.max(np.abs(nested / trapezoid - 1.0)) <= 1e-13
+
+
+# The folded trapezoid on 8192 nodes per axis at the crease points of the
+# spherical w = 1 curve, frozen: computed without row blocking it needs
+# about 290 MB.  Its own change from 4096 to 8192 nodes is up to 3.2e-10.
+TRAPEZOID_8192_AT_CREASES = {
+    (1.369, 0.890): 2.6660387236772616,
+    (1.033, 1.325): 2.8217192760425,
+    (0.399, 1.705): 3.0669243154086034,
+}
+
+
+@pytest.mark.parametrize("point", sorted(TRAPEZOID_8192_AT_CREASES))
+def test_nested_matches_the_fine_trapezoid_at_crease_points(point):
+    rho, lam = point
+    assert rho + 2.0 * lam > math.pi
+    nested = mean_sq_step(S, rho, lam)
+    assert abs(nested - TRAPEZOID_8192_AT_CREASES[point]) <= 5e-11
+    # converged: four times the nodes moves it by rounding only
+    assert abs(nested - mean_sq_step(S, rho, lam, QuadratureSpec(512))) <= 1e-12
+
+
+def test_nested_edge_cases():
+    # A zero step is exact; so is pi^2 / 3 wherever both steps are quarter
+    # turns from coincident or antipodal agents (cos d = cos alpha).
+    rho = np.array([0.0, 1.0, math.pi])
+    assert np.array_equal(mean_sq_step(S, rho, np.zeros(3)), rho * rho)
+    assert np.array_equal(mean_sq_step(H, rho, np.zeros(3)), rho * rho)
+    for r in (0.0, math.pi):
+        assert mean_sq_step(S, r, math.pi / 2) == pytest.approx(
+            math.pi**2 / 3, rel=1e-14
+        )
+    # rho = 0 on the hyperboloid, where the trapezoid is spectral
+    got = mean_sq_step(H, 0.0, np.array([0.3, 1.7]))
+    ref = solver._quad_mean(H, np.zeros(2), np.array([0.3, 1.7]), 256)
+    assert np.max(np.abs(got - ref)) <= 1e-13
+    # rho = pi, and cos phi* at -1 (rho + 2 lam = pi) or +1 (rho = 2 lam - pi),
+    # exactly and 1e-9 to either side: each value is converged
+    edges = [(math.pi, 0.8), (math.pi, 1e-3),
+             (math.pi - 2.0, 1.0), (4.0 - math.pi, 2.0)]
+    for r, l in edges:
+        for shift in ((-1e-9, 0.0, 1e-9) if r < math.pi else (-1e-9, 0.0)):
+            fine = mean_sq_step(S, r + shift, l, QuadratureSpec(512))
+            assert abs(mean_sq_step(S, r + shift, l) - fine) <= 1e-12
+
+
+def test_nested_chunking_changes_nothing(monkeypatch):
+    # a single point split over outer-node blocks, and many points split
+    # over point chunks, give the same values as one block
+    rho, lam = np.array([1.369, 0.3, 2.0]), np.array([0.89, 0.4, 1.5])
+    whole = mean_sq_step(S, rho, lam)
+    monkeypatch.setattr(solver, "_CHUNK_BUDGET", 200)
+    assert mean_sq_step(S, rho, lam) == pytest.approx(whole, rel=1e-15, abs=0.0)
+
+
+def test_scalar_and_array_paths_agree():
+    rho, lam = np.array([0.0, 1.2, 3.0]), np.array([0.7, 1.3, 0.0])
+    for geometry in (S, H):
+        arr = mean_sq_step(geometry, rho, lam)
+        for r, l, a in zip(rho, lam, arr):
+            value = mean_sq_step(geometry, r, l)
+            assert isinstance(value, float)
+            assert value == pytest.approx(a, rel=1e-15, abs=0.0)
+    with pytest.raises(ValueError):
+        mean_sq_step(S, 3.2, 0.1)
+    with pytest.raises(ValueError):
+        mean_sq_step(H, 1.0, -0.1)
 
 
 def test_small_step_value_spherical():
@@ -297,18 +383,16 @@ def test_certified_residuals_smooth_region():
     assert np.max(np.abs(cert)) <= 1e-10
 
 
-def test_certify_curve_escalates_through_the_crease():
-    # rho + 2 lam > pi here: plain doubling fails, escalation must kick in
+def test_certify_curve_needs_no_escalation_at_the_crease():
+    # rho + 2 lam > pi here: the trapezoid needed 2048 nodes to certify
     curve = trace_curve(SPH_W1, [1.0])
-    rho = np.array([p.rho for p in curve.points])
-    lam = np.array([p.lam for p in curve.points])
-    base_cert = residual(SPH_W1, rho, lam, QuadratureSpec(256))
-    assert np.max(np.abs(base_cert)) > 1e-8  # the reason escalation exists
+    assert curve.points[0].rho + 2.0 > math.pi
     certified = certify_curve(SPH_W1, curve)
+    assert certified.nodes.tolist() == [128]
     assert certified.all_within(1e-8)
-    assert certified.nodes.max() > 128
-    # the refined root stays close to the coarse one
-    assert abs(certified.curve.points[0].rho - curve.points[0].rho) < 1e-3
+    pt = certified.curve.points[0]
+    trapezoid = solver._quad_mean(S, np.array([pt.rho]), np.array([pt.lam]), 2048)
+    assert abs(trapezoid[0] - pt.rho**2 - SPH_W1.w * pt.lam**2) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
