@@ -166,12 +166,20 @@ def _fmt(x: float) -> str:
 # subcommands
 
 
+_MSD_PROTOCOLS = ("plus", "minus", "classical")
+
+
 def cmd_msd(cfg: RunConfig) -> int:
-    names = [cfg.protocol] if cfg.protocol else ["plus", "minus", "classical"]
-    rng = np.random.default_rng(cfg.seed)
+    names = [cfg.protocol] if cfg.protocol else _MSD_PROTOCOLS
     rows = []
     worst = 0.0
     for name in names:
+        # row k reads default_rng(seed) from draw 4 * samples * k on, so a
+        # --protocol run prints the same row as the full table
+        rng = np.random.default_rng(cfg.seed)
+        rng.bit_generator.advance(
+            walk.MC_DRAWS_PER_SAMPLE * cfg.samples * _MSD_PROTOCOLS.index(name)
+        )
         proto = cfg.protocol_spec(name)
         analytic = walk.expected_sq_separation(cfg.r, cfg.l, proto)
         mean, stderr = walk.mc_sq_separation(cfg.r, cfg.l, proto, cfg.samples, rng)
@@ -287,7 +295,7 @@ def cmd_threshold(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # verification suite
 
-_VERIFY_MSD_Z_BOUND = 4.0
+_VERIFY_Z_BOUND = 4.0
 
 
 def _check_normalization(cfg: RunConfig) -> tuple[bool, str]:
@@ -320,8 +328,30 @@ def _check_msd(cfg: RunConfig) -> tuple[bool, str]:
         analytic = walk.expected_sq_separation(cfg.r, cfg.l, proto)
         mean, stderr = walk.mc_sq_separation(cfg.r, cfg.l, proto, cfg.samples, rng)
         worst = max(worst, abs(mean - analytic) / stderr)
-    return worst <= _VERIFY_MSD_Z_BOUND, (
-        f"max |z| = {worst:.2f} (bound {_VERIFY_MSD_Z_BOUND})"
+    return worst <= _VERIFY_Z_BOUND, (
+        f"max |z| = {worst:.2f} (bound {_VERIFY_Z_BOUND})"
+    )
+
+
+#: Steps and walker pairs of the ensemble check.
+_VERIFY_ENSEMBLE_STEPS = 100
+_VERIFY_ENSEMBLE_WALKERS = 1000
+
+
+def _check_ensemble(cfg: RunConfig) -> tuple[bool, str]:
+    """Final-step ensemble mean against ``r^2 + t w l^2``, per protocol."""
+    t = _VERIFY_ENSEMBLE_STEPS
+    initial = WalkState((0.0, 0.0), (cfg.r, 0.0), cfg.l)
+    worst = 0.0
+    for name in _MSD_PROTOCOLS:
+        proto = cfg.protocol_spec(name)
+        res = walk.run_ensemble(initial, proto, t, _VERIFY_ENSEMBLE_WALKERS, 0.0,
+                                seed=cfg.seed)
+        w = walk.weight(proto.kind, proto.effective_p)
+        analytic = cfg.r * cfg.r + t * w * cfg.l * cfg.l
+        worst = max(worst, abs(res.mean_r2[t] - analytic) / res.stderr_r2[t])
+    return worst <= _VERIFY_Z_BOUND, (
+        f"step {t} max |z| = {worst:.2f} (bound {_VERIFY_Z_BOUND})"
     )
 
 
@@ -424,6 +454,7 @@ def _check_roots(cfg: RunConfig) -> tuple[bool, str]:
 VERIFY_CHECKS = [
     ("outcome-normalization", _check_normalization),
     ("msd-mc-vs-analytic", _check_msd),
+    ("ensemble-mc-vs-analytic", _check_ensemble),
     ("closed-vs-construction", _check_oracles),
     ("quadrature-vs-series", _check_series),
     ("nested-vs-trapezoid", _check_nested),

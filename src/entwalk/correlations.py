@@ -7,12 +7,12 @@ common axis (``p = 1``) and independent fair signs (``p = 0``):
 
     P(sigma_a, sigma_b) = (1 - p * sigma_a * sigma_b * cos(delta)) / 4
 
-with ``delta`` the angle between the two axes.  Directions are kept as
-angles rather than 2-vectors so the dot product is a single cosine and
-cannot drift off the unit circle.
+with ``delta`` the angle between the two axes.  The sampler takes
+``cos(delta)``, the dot product of the two unit axes, so a caller that
+already holds each axis as ``(cos, sin)`` spends no transcendental on it.
 
-The sampler takes an explicit ``numpy.random.Generator``; nothing in this
-module owns global random state.
+The sampler takes explicit ``numpy.random.Generator`` objects; nothing in
+this module owns global random state.
 """
 
 from __future__ import annotations
@@ -44,22 +44,25 @@ def outcome_probability(
     return 0.25 * (1.0 - p * sigma_a * sigma_b * np.cos(delta))
 
 
-def sample_sign_arrays(
-    delta: np.ndarray,
+def sign_pairs(
+    cos_delta: np.ndarray,
     p: float,
-    rng: np.random.Generator,
+    rng_a: np.random.Generator,
+    rng_b: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized sign sampling for an array of direction differences.
+    """Sample one sign pair per entry of ``cos_delta``, as floats +-1.0.
 
     Factorized exactly as the joint law dictates: ``sigma_a`` is a fair
     sign, then ``sigma_b = -sigma_a`` with probability
-    ``(1 + p cos(delta)) / 2``.  Consumes two uniform blocks from ``rng``
-    in a fixed order (all sigma_a draws, then all sigma_b draws), which is
-    the determinism contract relied on by the ensemble code.
+    ``(1 + p cos(delta)) / 2``.  Each sign reads one uniform per entry:
+    ``sigma_a`` from ``rng_a``, then ``sigma_b`` from ``rng_b``.  Passing
+    one generator twice consumes all ``sigma_a`` draws, then all
+    ``sigma_b`` draws, which is the ensemble's determinism contract.
     """
-    delta = np.asarray(delta, dtype=float)
-    sigma_a = np.where(rng.random(delta.shape) < 0.5, 1, -1)
-    p_anti = 0.5 * (1.0 + p * np.cos(delta))
-    sigma_b = np.where(rng.random(delta.shape) < p_anti, -sigma_a, sigma_a)
+    cos_delta = np.asarray(cos_delta, dtype=float)
+    a_up = rng_a.random(cos_delta.shape) < 0.5
+    anti = rng_b.random(cos_delta.shape) < 0.5 * (1.0 + p * cos_delta)
+    # bool arithmetic rather than np.where, which branches per element
+    sigma_a = a_up * 2.0 - 1.0
+    sigma_b = (a_up ^ anti) * 2.0 - 1.0
     return sigma_a, sigma_b
-

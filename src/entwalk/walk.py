@@ -17,12 +17,19 @@ so ``w(plus) + w(minus) = 4`` for every mixing parameter.  These closed
 forms are gated in the test suite by a brute-force direction-grid oracle
 before anything downstream trusts them.
 
+One kernel, ``_separation_deltas``, draws every step from four
+uniforms: A's angle, B's angle, then the two sign uniforms.  Each
+direction costs one cosine (``_direction``) and the sign sampler takes
+the directions' dot product, so a step spends two transcendentals.
+``_stream_deltas`` yields the steps of one large call in bounded pieces
+that read the same draws.
+
 Ensembles split the walkers into fixed chunks of ``_WALKER_CHUNK``:
 walkers ``[256 c, 256 c + 256)`` draw from one substream,
 ``default_rng([seed, c])``, and consume it in blocks of ``_STEP_BLOCK``
-steps, each block one step-major array draw.  Both sizes are constants
-of the stream layout, so results are a pure function of the seed and
-parameters, and memory per chunk stays bounded whatever the step and
+steps, each block the draws of one step-major kernel call.  Both sizes
+are constants of the stream layout, so results are a pure function of
+the seed and parameters, and memory stays bounded whatever the step and
 walker counts.
 """
 
@@ -34,12 +41,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import TWO_PI, sample_sign_arrays
+from .correlations import TWO_PI, sign_pairs
 
 # The ensemble's stream layout: walkers per substream and steps per
 # array draw.  Changing either changes every ensemble output.
 _WALKER_CHUNK = 256
 _STEP_BLOCK = 256
+# Elements per piece of ``_stream_deltas``.  It sets speed and memory,
+# not draws; 64 KiB arrays stay on the heap below glibc's mmap threshold,
+# where 512 KiB ones page-fault on every allocation.
+_MC_CHUNK = 1 << 13
+
+#: Uniforms one step reads: A's angle, B's angle, sigma_a, sigma_b.  An
+#: ``n``-sample ``mc_sq_separation`` call advances its generator by
+#: ``MC_DRAWS_PER_SAMPLE * n`` draws.
+MC_DRAWS_PER_SAMPLE = 4
 
 _MIN_MC_SAMPLES = 1000
 
@@ -121,22 +137,74 @@ def expected_sq_separation(r: float, l: float, proto: ProtocolSpec) -> float:
     return r * r + weight(proto.kind, proto.effective_p) * l * l
 
 
+def _direction(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(cos theta, sin theta)`` for angles in ``[0, 2 pi)``, from one cosine.
+
+    The sine is ``sqrt((1 - c)(1 + c))`` with the sign of ``pi - theta``,
+    which keeps ``c^2 + s^2 - 1`` within 2.2e-16.  Over 1e7 uniform draws
+    it lies within 7.1e-11 of ``np.sin``.  Within about 1.5e-8 rad of the
+    x axis ``1 - c`` or ``1 + c`` loses its digits, and the gap grows to
+    at most that angle.
+    """
+    c = np.cos(theta)
+    s = (1.0 - c) * (1.0 + c)
+    np.sqrt(s, out=s)
+    np.copysign(s, math.pi - theta, out=s)
+    return c, s
+
+
 def _separation_deltas(
-    n: int, l: float, proto: ProtocolSpec, rng: np.random.Generator
+    n: int,
+    l: float,
+    proto: ProtocolSpec,
+    rngs: tuple[np.random.Generator, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step change of the separation vector for ``n`` independent steps.
 
-    Draw order (the determinism contract): angles for A, angles for B,
-    then the two sign blocks consumed by ``sample_sign_arrays``.
+    ``rngs`` is ``(rng_A, rng_B, rng_sigma_a, rng_sigma_b)``, each read
+    for ``n`` uniforms in that order.  ``(rng,) * 4`` reads one stream
+    as all A angles, all B angles, then the two sign blocks (the
+    determinism contract).
     """
-    ang_a = rng.uniform(0.0, TWO_PI, n)
-    ang_b = rng.uniform(0.0, TWO_PI, n)
-    sigma_a, sigma_b = sample_sign_arrays(ang_a - ang_b, proto.effective_p, rng)
+    rng_a, rng_b, rng_sa, rng_sb = rngs
+    ca, sa = _direction(rng_a.uniform(0.0, TWO_PI, n))
+    cb, sb = _direction(rng_b.uniform(0.0, TWO_PI, n))
+    ga, gb = sign_pairs(ca * cb + sa * sb, proto.effective_p, rng_sa, rng_sb)
     # separation = pos_a - pos_b changes by l*(sigma_a n_a - b_step_sign * sigma_b n_b)
-    coeff_b = -proto.b_step_sign
-    dx = l * (sigma_a * np.cos(ang_a) + coeff_b * sigma_b * np.cos(ang_b))
-    dy = l * (sigma_a * np.sin(ang_a) + coeff_b * sigma_b * np.sin(ang_b))
-    return dx, dy
+    ga *= l
+    gb *= -proto.b_step_sign * l
+    return ga * ca + gb * cb, ga * sa + gb * sb
+
+
+def _stream_deltas(
+    n: int, l: float, proto: ProtocolSpec, rng: np.random.Generator, piece: int
+):
+    """The steps of ``_separation_deltas(n, l, proto, (rng,) * 4)``, in pieces.
+
+    Yields ``(dx, dy)`` for at most ``piece`` steps at a time.  Four copies
+    of ``rng``'s PCG64 stream, advanced to offsets ``0, n, 2n, 3n``, feed
+    the four draw kinds, so every step reads the draws it would read in
+    the one big call, while memory stays bounded by ``piece``.  Once the
+    pieces are exhausted ``rng`` stands ``4 n`` draws further on, as if
+    it had made them itself.
+    """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError(
+            f"need a PCG64 generator (np.random.default_rng), got {type(bitgen).__name__}"
+        )
+    streams = []
+    for k in range(MC_DRAWS_PER_SAMPLE):
+        copy = type(bitgen)(0)
+        copy.state = bitgen.state
+        copy.advance(k * n)
+        streams.append(np.random.Generator(copy))
+    for lo in range(0, n, piece):
+        yield _separation_deltas(min(piece, n - lo), l, proto, streams)
+    # the last stream stopped at offset 4n; keep rng's buffered half-word
+    state = bitgen.state
+    state["state"] = streams[-1].bit_generator.state["state"]
+    bitgen.state = state
 
 
 def mc_sq_separation(
@@ -146,7 +214,14 @@ def mc_sq_separation(
     n_samples: int,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of ``r'^2`` over single steps."""
+    """Monte Carlo mean and standard error of ``r'^2`` over single steps.
+
+    The samples are the steps of one ``n_samples``-step kernel call on
+    ``rng``, streamed by ``_stream_deltas``; block means and sums of
+    squared deviations are merged by the Chan-Golub-LeVeque update.  On
+    return ``rng`` stands ``MC_DRAWS_PER_SAMPLE * n_samples`` draws
+    further on.
+    """
     if n_samples < _MIN_MC_SAMPLES:
         raise ValueError(
             f"n_samples must be at least {_MIN_MC_SAMPLES}, got {n_samples}"
@@ -155,23 +230,33 @@ def mc_sq_separation(
         raise ValueError(f"separation must be nonnegative, got {r}")
     if not l > 0.0:
         raise ValueError(f"step length must be positive, got {l}")
-    dx, dy = _separation_deltas(int(n_samples), l, proto, rng)
-    r2 = (r + dx) ** 2 + dy**2
-    mean = float(np.mean(r2))
-    stderr = float(np.std(r2, ddof=1) / math.sqrt(n_samples))
-    return mean, stderr
+    n = int(n_samples)
+    count, mean, m2 = 0, 0.0, 0.0
+    for dx, dy in _stream_deltas(n, l, proto, rng, _MC_CHUNK):
+        r2 = (r + dx) ** 2 + dy**2
+        k = len(r2)
+        block_mean = float(np.mean(r2))
+        delta = block_mean - mean
+        total = count + k
+        mean += delta * (k / total)
+        m2 += float(np.sum((r2 - block_mean) ** 2)) + delta * delta * count * k / total
+        count = total
+    return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
     """Per-step ensemble statistics; arrays have length ``n_steps + 1``.
 
+    ``stderr_r2[t]`` is the standard error of ``mean_r2[t]`` over the
+    walkers (0 at step 0, NaN with a single walker).
     ``meeting_fraction[t]`` is the fraction of walker pairs whose
     separation dropped to ``meeting_radius`` or below at or before step
     ``t`` (step 0 is the initial configuration).
     """
 
     mean_r2: np.ndarray
+    stderr_r2: np.ndarray
     meeting_fraction: np.ndarray
     n_steps: int
     n_walkers: int
@@ -179,47 +264,56 @@ class EnsembleResult:
     seed: int
 
 
-def _chunk_stats(
+def _add_chunk_stats(
+    totals: tuple[np.ndarray, np.ndarray, np.ndarray],
     rng: np.random.Generator,
     n_walkers: int,
     sep0: np.ndarray,
     l: float,
     proto: ProtocolSpec,
-    n_steps: int,
     meeting_radius: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step sums of ``r^2`` and of "met by now" over one walker chunk.
+) -> None:
+    """Add one walker chunk's per-step sums to ``totals``.
 
-    Each block of ``k`` steps is one ``_separation_deltas(k * n_walkers)``
-    draw read step-major as ``(k, n_walkers)``.  The carried position is
-    added to the block's first row before the running sum, so positions
-    are the plain running sum of all steps, whatever the block size.
+    ``totals`` holds the running per-step sums of ``r^2``, of ``r^4`` and
+    of "met by now"; their length is ``n_steps + 1``.  Each block of ``k``
+    steps reads the draws of one ``_separation_deltas(k * n_walkers)``
+    call on ``rng``, step-major as ``(k, n_walkers)``, in pieces of whole
+    steps.  The carried position is added to a piece's first row before
+    the running sum, so positions are the plain running sum of all steps,
+    whatever the block and piece sizes.
     """
+    r2_total, r4_total, met_total = totals
+    n_steps = len(r2_total) - 1
     x = np.full(n_walkers, sep0[0])
     y = np.full(n_walkers, sep0[1])
-    r = np.hypot(x, y)
-    met = r <= meeting_radius
-    r2_sum = np.empty(n_steps + 1)
-    met_count = np.empty(n_steps + 1, dtype=np.int64)
-    r2_sum[0] = np.sum(r * r)
-    met_count[0] = np.count_nonzero(met)
+    r2 = x * x + y * y
+    eps2 = meeting_radius * meeting_radius
+    met = r2 <= eps2
+    r2_total[0] += np.sum(r2)
+    r4_total[0] += np.sum(r2 * r2)
+    met_total[0] += np.count_nonzero(met)
+    piece = max(1, _MC_CHUNK // n_walkers) * n_walkers
+    done = 0
     for t in range(0, n_steps, _STEP_BLOCK):
-        k = min(_STEP_BLOCK, n_steps - t)
-        dx, dy = _separation_deltas(k * n_walkers, l, proto, rng)
-        dx = dx.reshape(k, n_walkers)
-        dy = dy.reshape(k, n_walkers)
-        dx[0] += x
-        dy[0] += y
-        sx = np.cumsum(dx, axis=0)
-        sy = np.cumsum(dy, axis=0)
-        r = np.hypot(sx, sy)
-        hit = r <= meeting_radius
-        hit[0] |= met
-        hit = np.logical_or.accumulate(hit, axis=0)
-        r2_sum[t + 1 : t + k + 1] = np.sum(r * r, axis=1)
-        met_count[t + 1 : t + k + 1] = np.count_nonzero(hit, axis=1)
-        x, y, met = sx[-1], sy[-1], hit[-1]
-    return r2_sum, met_count
+        block = min(_STEP_BLOCK, n_steps - t) * n_walkers
+        for dx, dy in _stream_deltas(block, l, proto, rng, piece):
+            dx = dx.reshape(-1, n_walkers)
+            dy = dy.reshape(-1, n_walkers)
+            rows = slice(done + 1, done + len(dx) + 1)
+            done += len(dx)
+            dx[0] += x
+            dy[0] += y
+            sx = np.cumsum(dx, axis=0)
+            sy = np.cumsum(dy, axis=0)
+            r2 = sx * sx + sy * sy
+            hit = r2 <= eps2
+            hit[0] |= met
+            hit = np.logical_or.accumulate(hit, axis=0)
+            r2_total[rows] += np.sum(r2, axis=1)
+            r4_total[rows] += np.sum(r2 * r2, axis=1)
+            met_total[rows] += np.count_nonzero(hit, axis=1)
+            x, y, met = sx[-1], sy[-1], hit[-1]
 
 
 def run_ensemble(
@@ -245,25 +339,31 @@ def run_ensemble(
 
     sep0 = initial.pos_a - initial.pos_b
     r2_total = np.zeros(n_steps + 1)
+    r4_total = np.zeros(n_steps + 1)
     met_total = np.zeros(n_steps + 1, dtype=np.int64)
     for chunk, lo in enumerate(range(0, n_walkers, _WALKER_CHUNK)):
-        r2_sum, met_count = _chunk_stats(
+        _add_chunk_stats(
+            (r2_total, r4_total, met_total),
             np.random.default_rng([seed, chunk]),
             min(_WALKER_CHUNK, n_walkers - lo),
             sep0,
             initial.step_length,
             proto,
-            n_steps,
             meeting_radius,
         )
-        r2_total += r2_sum
-        met_total += met_count
     mean_r2 = r2_total / n_walkers
+    if n_walkers > 1:
+        spread = np.maximum(r4_total - r2_total * mean_r2, 0.0)
+        stderr_r2 = np.sqrt(spread / (n_walkers * (n_walkers - 1.0)))
+    else:
+        stderr_r2 = np.full(n_steps + 1, math.nan)
     # every walker starts at sep0: write |sep0|^2 itself, not a rounded mean
     x0, y0 = sep0
     mean_r2[0] = x0 * x0 + y0 * y0
+    stderr_r2[0] = 0.0
     return EnsembleResult(
         mean_r2=mean_r2,
+        stderr_r2=stderr_r2,
         meeting_fraction=met_total / n_walkers,
         n_steps=n_steps,
         n_walkers=n_walkers,

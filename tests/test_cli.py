@@ -54,6 +54,17 @@ def test_msd_minus_at_zero_mixing_equals_classical(tmp_path):
     assert float(rows[0][4]) == 1.5  # r^2 + 2 l^2 at defaults
 
 
+def test_msd_protocol_run_prints_its_row_of_the_full_table(tmp_path):
+    args = ["msd", "--samples", "10000", "--seed", "3"]
+    full = tmp_path / "full.csv"
+    assert run_cli(args + ["--out", str(full)]) in (0, 1)
+    lines = full.read_bytes().split(b"\n")
+    for k, name in enumerate(("plus", "minus", "classical")):
+        one = tmp_path / f"{name}.csv"
+        assert run_cli(args + ["--protocol", name, "--out", str(one)]) in (0, 1)
+        assert one.read_bytes().split(b"\n") == [lines[0], lines[1 + k], b""]
+
+
 def test_msd_rejects_invalid_mixing():
     assert run_cli(["msd", "--p", "1.5"]) == 2
 
@@ -336,6 +347,7 @@ def test_verify_default_passes(tmp_path, capsys):
     for name in (
         "outcome-normalization",
         "msd-mc-vs-analytic",
+        "ensemble-mc-vs-analytic",
         "closed-vs-construction",
         "quadrature-vs-series",
         "nested-vs-trapezoid",
@@ -358,6 +370,7 @@ def test_verify_detects_wrong_weight(capsys, monkeypatch):
     assert run_cli(["verify", "--samples", "50000"]) == 1
     captured = capsys.readouterr().out
     assert "FAIL msd-mc-vs-analytic" in captured
+    assert "FAIL ensemble-mc-vs-analytic" in captured
 
 
 def test_verify_under_resolved_quadrature_reports_by_name(capsys):

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entwalk.walk import (
+    _MC_CHUNK,
     Protocol,
     ProtocolSpec,
     WalkState,
+    _direction,
     _separation_deltas,
     expected_sq_separation,
     mc_sq_separation,
@@ -93,7 +95,7 @@ def test_step_plus_common_axis_cancels():
     # signs; sigma_a is +1 for the first step and -1 for the second
     theta = 0.9
     rng = ScriptedRng(uniforms=[theta, theta], randoms=[np.array([0.3, 0.7]), 0.2])
-    dx, dy = _separation_deltas(2, 0.5, ProtocolSpec(Protocol.PLUS, 1.0), rng)
+    dx, dy = _separation_deltas(2, 0.5, ProtocolSpec(Protocol.PLUS, 1.0), (rng,) * 4)
     assert np.all(np.abs(dx) <= 1e-12)
     assert np.all(np.abs(dy) <= 1e-12)
 
@@ -101,7 +103,7 @@ def test_step_plus_common_axis_cancels():
 def test_step_minus_common_axis_doubles():
     theta = 0.9
     rng = ScriptedRng(uniforms=[theta, theta], randoms=[np.array([0.3, 0.7]), 0.2])
-    dx, dy = _separation_deltas(2, 0.5, ProtocolSpec(Protocol.MINUS, 1.0), rng)
+    dx, dy = _separation_deltas(2, 0.5, ProtocolSpec(Protocol.MINUS, 1.0), (rng,) * 4)
     sigma_a = np.array([1.0, -1.0])
     assert dx == pytest.approx(2 * 0.5 * sigma_a * math.cos(theta), abs=1e-12)
     assert dy == pytest.approx(2 * 0.5 * sigma_a * math.sin(theta), abs=1e-12)
@@ -116,15 +118,27 @@ def test_step_minus_common_axis_doubles():
 def test_step_triangle_inequality(seed, kind, p):
     rng = np.random.default_rng(seed)
     sep = rng.normal(size=2)
-    dx, dy = _separation_deltas(64, 0.7, ProtocolSpec(kind, p), rng)
+    dx, dy = _separation_deltas(64, 0.7, ProtocolSpec(kind, p), (rng,) * 4)
     r_prime = np.hypot(sep[0] + dx, sep[1] + dy)
     assert np.all(np.abs(r_prime - np.hypot(*sep)) <= 2 * 0.7 + 1e-12)
+
+
+def test_direction_from_one_cosine():
+    theta = np.random.default_rng(31).uniform(0.0, 2.0 * math.pi, 1_000_000)
+    c, s = _direction(theta)
+    assert np.array_equal(c, np.cos(theta))
+    assert np.max(np.abs(s - np.sin(theta))) <= 2e-8
+    assert np.max(np.abs(c * c + s * s - 1.0)) <= 4 * np.finfo(float).eps
+    c, s = _direction(np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2]))
+    assert np.array_equal(np.sign(s), [0.0, 1.0, 0.0, -1.0])
+    assert not np.any(np.signbit(s[[0, 2]]))  # +0, as sin is there
+    assert np.allclose(s, [0.0, 1.0, 0.0, -1.0], rtol=0.0, atol=4e-16)
 
 
 def test_step_from_coincident_start():
     rng = np.random.default_rng(11)
     for kind in Protocol:
-        dx, dy = _separation_deltas(1000, 0.5, ProtocolSpec(kind, 1.0), rng)
+        dx, dy = _separation_deltas(1000, 0.5, ProtocolSpec(kind, 1.0), (rng,) * 4)
         assert np.all(np.hypot(dx, dy) <= 2 * 0.5 + 1e-12)
 
 
@@ -136,6 +150,55 @@ def test_mc_rejects_tiny_sample_counts():
     with pytest.raises(ValueError):
         mc_sq_separation(1.0, 0.5, ProtocolSpec(Protocol.PLUS), 999,
                          np.random.default_rng(0))
+
+
+def _unchunked_reference(r, l, proto, n, rng):
+    """One array draw of all four blocks from one generator, sines by ``np.sin``."""
+    ang_a = rng.uniform(0.0, 2.0 * math.pi, n)
+    ang_b = rng.uniform(0.0, 2.0 * math.pi, n)
+    sigma_a = np.where(rng.random(n) < 0.5, 1, -1)
+    p_anti = 0.5 * (1.0 + proto.effective_p * np.cos(ang_a - ang_b))
+    sigma_b = np.where(rng.random(n) < p_anti, -sigma_a, sigma_a)
+    coeff_b = -proto.b_step_sign
+    dx = l * (sigma_a * np.cos(ang_a) + coeff_b * sigma_b * np.cos(ang_b))
+    dy = l * (sigma_a * np.sin(ang_a) + coeff_b * sigma_b * np.sin(ang_b))
+    r2 = (r + dx) ** 2 + dy**2
+    return float(np.mean(r2)), float(np.std(r2, ddof=1) / math.sqrt(n))
+
+
+@pytest.mark.parametrize("kind", list(Protocol))
+def test_mc_streams_the_draws_of_one_unchunked_call(kind):
+    # three full blocks and a ragged one; the generators first hand out a
+    # 32-bit integer, so half a 64-bit draw stays buffered across the call
+    n = 3 * _MC_CHUNK + 17
+    proto = ProtocolSpec(kind, 0.6)
+    rng, ref_rng = np.random.default_rng(41), np.random.default_rng(41)
+    rng.integers(0, 10, dtype=np.int32)
+    ref_rng.integers(0, 10, dtype=np.int32)
+    mean, stderr = mc_sq_separation(1.3, 0.7, proto, n, rng)
+    ref_mean, ref_stderr = _unchunked_reference(1.3, 0.7, proto, n, ref_rng)
+    assert abs(mean / ref_mean - 1.0) <= 1e-13
+    assert abs(stderr / ref_stderr - 1.0) <= 1e-13
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_mc_memory_does_not_grow_with_samples():
+    proto = ProtocolSpec(Protocol.PLUS, 1.0)
+    peaks = []
+    for n in (250_000, 4_000_000):
+        tracemalloc.start()
+        try:
+            mc_sq_separation(1.0, 0.5, proto, n, np.random.default_rng(2))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_mc_rejects_generators_it_cannot_offset():
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError):
+        mc_sq_separation(1.0, 0.5, ProtocolSpec(Protocol.PLUS), 1000, rng)
 
 
 @pytest.mark.parametrize(
@@ -182,6 +245,7 @@ def test_ensemble_zero_steps_returns_initial_row():
                        ProtocolSpec(Protocol.PLUS), 0, 1, 0.05, seed=3)
     assert res.mean_r2.shape == (1,)
     assert res.mean_r2[0] == 1.0
+    assert res.stderr_r2[0] == 0.0
     assert res.meeting_fraction[0] == 0.0
 
 
@@ -224,22 +288,28 @@ def test_ensemble_follows_the_chunk_seeded_stream_layout():
                        seed=seed)
     r2_total = np.zeros(301)
     met_total = np.zeros(301, dtype=np.int64)
+    r2_walkers = []
     for chunk, walkers in enumerate((256, 44)):
         rng = np.random.default_rng([seed, chunk])
-        blocks = [_separation_deltas(k * walkers, l, proto, rng) for k in (256, 44)]
+        blocks = [_separation_deltas(k * walkers, l, proto, (rng,) * 4)
+                  for k in (256, 44)]
         dx = np.vstack([bx.reshape(-1, walkers) for bx, _ in blocks])
         dy = np.vstack([by.reshape(-1, walkers) for _, by in blocks])
         x = np.cumsum(np.vstack([np.full(walkers, -1.2), dx]), axis=0)
         y = np.cumsum(np.vstack([np.full(walkers, -0.4), dy]), axis=0)
-        r = np.hypot(x, y)
-        r2_total += np.sum(r * r, axis=1)
+        r2 = x * x + y * y
+        r2_total += np.sum(r2, axis=1)
+        r2_walkers.append(r2)
         met_total += np.count_nonzero(
-            np.logical_or.accumulate(r <= eps, axis=0), axis=1
+            np.logical_or.accumulate(r2 <= eps * eps, axis=0), axis=1
         )
     expected = r2_total / 300
     expected[0] = 1.2 * 1.2 + 0.4 * 0.4  # step 0 is |sep0|^2, not a rounded mean
     assert np.array_equal(res.mean_r2, expected)
     assert np.array_equal(res.meeting_fraction, met_total / 300)
+    stderr = np.std(np.hstack(r2_walkers), axis=1, ddof=1) / math.sqrt(300)
+    assert res.stderr_r2[0] == 0.0
+    assert np.allclose(res.stderr_r2[1:], stderr[1:], rtol=1e-10, atol=0.0)
 
 
 def test_ensemble_memory_does_not_grow_with_steps():
