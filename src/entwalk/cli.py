@@ -320,6 +320,22 @@ def _check_normalization(cfg: RunConfig) -> tuple[bool, str]:
     return worst <= 1e-15, f"max deviation {worst:.2e} (bound 1e-15)"
 
 
+#: Turns the direction check draws.
+_VERIFY_DIRECTION_DRAWS = 100_000
+
+
+def _check_direction(cfg: RunConfig) -> tuple[bool, str]:
+    """The walk's table-and-rotation directions against libm's cos and sin."""
+    u = np.random.default_rng([cfg.seed, 5]).random(_VERIFY_DIRECTION_DRAWS)
+    c, s = walk._direction(u)
+    worst = float(max(np.max(np.abs(c - np.cos(TWO_PI * u))),
+                      np.max(np.abs(s - np.sin(TWO_PI * u)))))
+    bound = 4 * np.finfo(float).eps
+    return worst <= bound, (
+        f"max deviation {worst:.2e} over {len(u)} turns (bound {bound:.2e})"
+    )
+
+
 def _check_msd(cfg: RunConfig) -> tuple[bool, str]:
     rng = np.random.default_rng([cfg.seed, 2])
     worst = 0.0
@@ -453,6 +469,7 @@ def _check_roots(cfg: RunConfig) -> tuple[bool, str]:
 
 VERIFY_CHECKS = [
     ("outcome-normalization", _check_normalization),
+    ("direction-vs-libm", _check_direction),
     ("msd-mc-vs-analytic", _check_msd),
     ("ensemble-mc-vs-analytic", _check_ensemble),
     ("closed-vs-construction", _check_oracles),

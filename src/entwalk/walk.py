@@ -18,11 +18,11 @@ forms are gated in the test suite by a brute-force direction-grid oracle
 before anything downstream trusts them.
 
 One kernel, ``_separation_deltas``, draws every step from four
-uniforms: A's angle, B's angle, then the two sign uniforms.  Each
-direction costs one cosine (``_direction``) and the sign sampler takes
-the directions' dot product, so a step spends two transcendentals.
-``_stream_deltas`` yields the steps of one large call in bounded pieces
-that read the same draws.
+uniforms: A's turn, B's turn, then the two sign uniforms.  Each
+direction comes from a table and a rotation (``_direction``) and the
+sign sampler takes the directions' dot product, so a step spends no
+transcendental.  ``_stream_deltas`` yields the steps of one large call
+in bounded pieces that read the same draws.
 
 Ensembles split the walkers into fixed chunks of ``_WALKER_CHUNK``:
 walkers ``[256 c, 256 c + 256)`` draw from one substream,
@@ -36,6 +36,7 @@ walker counts.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,11 +49,13 @@ from .correlations import TWO_PI, sign_pairs
 _WALKER_CHUNK = 256
 _STEP_BLOCK = 256
 # Elements per piece of ``_stream_deltas``.  It sets speed and memory,
-# not draws; 64 KiB arrays stay on the heap below glibc's mmap threshold,
-# where 512 KiB ones page-fault on every allocation.
-_MC_CHUNK = 1 << 13
+# not draws.  glibc trims the heap's free top whenever it frees a chunk
+# of 64 KiB or more, and the direction kernel's temporaries leave more
+# than its 128 KiB trim threshold there, so 8192-element pieces fault
+# their pages back in on every piece; 32 KiB ones are reused in place.
+_MC_CHUNK = 1 << 12
 
-#: Uniforms one step reads: A's angle, B's angle, sigma_a, sigma_b.  An
+#: Uniforms one step reads: A's turn, B's turn, sigma_a, sigma_b.  An
 #: ``n``-sample ``mc_sq_separation`` call advances its generator by
 #: ``MC_DRAWS_PER_SAMPLE * n`` draws.
 MC_DRAWS_PER_SAMPLE = 4
@@ -137,19 +140,67 @@ def expected_sq_separation(r: float, l: float, proto: ProtocolSpec) -> float:
     return r * r + weight(proto.kind, proto.effective_p) * l * l
 
 
-def _direction(theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(cos theta, sin theta)`` for angles in ``[0, 2 pi)``, from one cosine.
+# The direction kernel's table: ``_TURNS`` turns per revolution.
+_TURNS = 1024
+_TURN_ANGLE = TWO_PI / _TURNS
 
-    The sine is ``sqrt((1 - c)(1 + c))`` with the sign of ``pi - theta``,
-    which keeps ``c^2 + s^2 - 1`` within 2.2e-16.  Over 1e7 uniform draws
-    it lies within 7.1e-11 of ``np.sin``.  Within about 1.5e-8 rad of the
-    x axis ``1 - c`` or ``1 + c`` loses its digits, and the gap grows to
-    at most that angle.
+
+@functools.cache
+def _turn_table() -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(cos, sin)`` of ``2 pi k / 1024`` for ``k = 0 .. 1024``.
+
+    One quarter is taken from whichever of ``sin`` and ``cos`` has its
+    argument below ``pi / 4``; the rest is that quarter mirrored, so
+    multiples of a quarter turn are exactly ``+-1`` and ``0``.  Built on
+    first use, so that commands which take no walk step (``curve``,
+    ``threshold``) pay for it neither in time nor in peak memory.
     """
-    c = np.cos(theta)
-    s = (1.0 - c) * (1.0 + c)
-    np.sqrt(s, out=s)
-    np.copysign(s, math.pi - theta, out=s)
+    j = np.arange(_TURNS // 4 + 1)
+    rest = _TURNS // 4 - j
+    quarter = np.where(j <= rest, np.sin(j * _TURN_ANGLE), np.cos(rest * _TURN_ANGLE))
+    rise, fall = quarter[1:], quarter[-2::-1]
+    sine = np.concatenate([quarter, fall, -rise, -fall, rise])  # five quarters
+    sine.flags.writeable = False
+    return sine[_TURNS // 4 :], sine[: _TURNS + 1]
+
+
+def _direction(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(cos 2 pi u, sin 2 pi u)`` for turn fractions ``u`` in ``[0, 1)``.
+
+    Tang's table-driven reduction (ACM TOMS 15, 1989), with no
+    transcendental call.  ``1024 u``, ``k = rint(1024 u)`` and their
+    difference are exact, so only the remainder angle
+    ``delta = (1024 u - k) 2 pi / 1024`` rounds.  As ``|delta| <= pi / 1024``,
+    ``cos delta - 1 = -delta^2/2 + delta^4/24`` and
+    ``sin delta = delta - delta^3/6 + delta^5/120`` drop terms below
+    1.2e-18.  The table's ``(cos, sin)`` at turn ``k`` is rotated by
+    ``delta``, the small corrections summed before the table value is
+    added.  Both parts lie within 4 eps of ``np.cos``/``np.sin(2 pi u)``
+    (3.25 eps over 1e7 draws), quarter turns give exactly ``+-1`` and
+    ``+0``, and near the axis the sine keeps its relative accuracy.
+    """
+    x = u * _TURNS
+    k = np.rint(x)
+    x -= k
+    x *= _TURN_ANGLE  # delta
+    i = k.astype(np.intp)
+    d2 = x * x
+    cm1 = d2 * (1.0 / 24.0)  # cos(delta) - 1
+    cm1 -= 0.5
+    cm1 *= d2
+    sd = d2 * (1.0 / 120.0)  # sin(delta)
+    sd -= 1.0 / 6.0
+    sd *= d2
+    sd *= x
+    sd += x
+    cos_table, sin_table = _turn_table()
+    ck, sk = cos_table[i], sin_table[i]
+    c = ck * cm1
+    c -= sk * sd
+    c += ck
+    s = sk * cm1
+    s += ck * sd
+    s += sk
     return c, s
 
 
@@ -163,12 +214,12 @@ def _separation_deltas(
 
     ``rngs`` is ``(rng_A, rng_B, rng_sigma_a, rng_sigma_b)``, each read
     for ``n`` uniforms in that order.  ``(rng,) * 4`` reads one stream
-    as all A angles, all B angles, then the two sign blocks (the
+    as all A turns, all B turns, then the two sign blocks (the
     determinism contract).
     """
     rng_a, rng_b, rng_sa, rng_sb = rngs
-    ca, sa = _direction(rng_a.uniform(0.0, TWO_PI, n))
-    cb, sb = _direction(rng_b.uniform(0.0, TWO_PI, n))
+    ca, sa = _direction(rng_a.random(n))
+    cb, sb = _direction(rng_b.random(n))
     ga, gb = sign_pairs(ca * cb + sa * sb, proto.effective_p, rng_sa, rng_sb)
     # separation = pos_a - pos_b changes by l*(sigma_a n_a - b_step_sign * sigma_b n_b)
     ga *= l

@@ -54,36 +54,30 @@ def planar_two_step_distance(r, l, phi_a, phi_b):
 
 
 class ScriptedRng:
-    """Generator stand-in replaying scripted draws at the requested size.
+    """Generator stand-in replaying scripted ``random`` draws at the requested size.
 
     Each scripted value, a scalar or an array, is broadcast to the size
-    of the draw that consumes it.
+    of the draw that consumes it.  The walk reads turns, and the sign
+    sampler its uniforms, through ``random``.
     """
 
-    def __init__(self, uniforms=(), randoms=()):
-        self._uniforms = list(uniforms)
+    def __init__(self, randoms=()):
         self._randoms = list(randoms)
 
-    def uniform(self, lo, hi, size):
-        value = np.broadcast_to(self._uniforms.pop(0), size)
-        assert np.all((lo <= value) & (value < hi))
-        return value
-
     def random(self, size):
-        return np.broadcast_to(self._randoms.pop(0), size)
+        value = np.broadcast_to(self._randoms.pop(0), size)
+        assert np.all((0.0 <= value) & (value < 1.0))
+        return value
 
 
 class RecordingRng:
-    """A seeded generator that keeps every array its ``uniform`` returns."""
+    """A seeded generator that keeps every array its ``random`` returns."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
-        self.uniforms = []
-
-    def uniform(self, lo, hi, size):
-        draw = self._rng.uniform(lo, hi, size)
-        self.uniforms.append(draw)
-        return draw
+        self.randoms = []
 
     def random(self, size):
-        return self._rng.random(size)
+        draw = self._rng.random(size)
+        self.randoms.append(draw)
+        return draw

@@ -346,6 +346,7 @@ def test_verify_default_passes(tmp_path, capsys):
     captured = capsys.readouterr().out
     for name in (
         "outcome-normalization",
+        "direction-vs-libm",
         "msd-mc-vs-analytic",
         "ensemble-mc-vs-analytic",
         "closed-vs-construction",
@@ -355,6 +356,16 @@ def test_verify_default_passes(tmp_path, capsys):
     ):
         assert f"PASS {name}" in captured
     assert "all checks passed" in captured
+
+
+def test_verify_detects_a_direction_table_off_by_a_few_ulps(capsys, monkeypatch):
+    # mutation test: a cosine table shifted by 1e-15 (4.5 eps) must fail
+    cos_table, sin_table = entwalk.walk._turn_table()
+    shifted = (cos_table + 1e-15, sin_table)
+    monkeypatch.setattr(entwalk.walk, "_turn_table", lambda: shifted)
+    assert run_cli(["verify", "--samples", "50000"]) == 1
+    captured = capsys.readouterr().out
+    assert "FAIL direction-vs-libm" in captured
 
 
 def test_verify_detects_wrong_weight(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entwalk.correlations import TWO_PI, outcome_probability, sign_pairs
-from entwalk.walk import Protocol, ProtocolSpec, _separation_deltas
+from entwalk.walk import Protocol, ProtocolSpec, _direction, _separation_deltas
 
 from conftest import RecordingRng, ScriptedRng
 
@@ -22,8 +22,8 @@ SIGMA_B = np.array([-1, 1, -1, 1])
 def test_direction_unit_vector_norm():
     # equal axes and equal classical signs: the two agents' moves add up
     # to 2 l exactly when each is l along a unit direction
-    theta = np.array([0.0, 1.0, 2.5, 6.2])
-    rng = ScriptedRng(uniforms=[theta, theta], randoms=[0.3, 0.9])
+    turn = np.array([0.0, 1.0, 2.5, 6.2]) / TWO_PI
+    rng = ScriptedRng(randoms=[turn, turn, 0.3, 0.9])
     dx, dy = _separation_deltas(4, 0.5, ProtocolSpec(Protocol.CLASSICAL), (rng,) * 4)
     assert np.hypot(dx, dy) == pytest.approx(np.ones(4), abs=1e-12)
 
@@ -137,27 +137,39 @@ def test_sampler_matches_distribution_chi_square():
         assert result.pvalue > 0.01
 
 
+def _recorded_turns(seed, n):
+    """The two turn blocks one classical ``n``-step kernel call draws."""
+    turns = RecordingRng(seed)
+    signs = np.random.default_rng(seed + 1)
+    proto = ProtocolSpec(Protocol.CLASSICAL)
+    _separation_deltas(n, 1.0, proto, (turns, turns, signs, signs))
+    # A's turns, then B's, and nothing else from the direction streams
+    assert [draw.shape for draw in turns.randoms] == [(n,), (n,)]
+    return turns.randoms
+
+
 def test_sample_direction_moments():
-    rng = RecordingRng(5)
     n = 1_000_000
-    _separation_deltas(n, 1.0, ProtocolSpec(Protocol.CLASSICAL), (rng,) * 4)
-    for draws in rng.uniforms:  # A's angles, then B's
-        assert np.all((0.0 <= draws) & (draws < 2.0 * math.pi))
-        cos_vals = np.cos(draws)
+    for u in _recorded_turns(5, n):
+        assert np.all((0.0 <= u) & (u < 1.0))
+        # var(u) = 1/12 and var(u^2) = 4/45 under the uniform law
+        assert abs(np.mean(u) - 0.5) < 3.0 * math.sqrt(1.0 / 12.0 / n)
+        assert abs(np.mean(u * u) - 1.0 / 3.0) < 3.0 * math.sqrt(4.0 / 45.0 / n)
+        cos_vals = _direction(u)[0]
         # var(cos) = 1/2 and var(cos^2) = 1/8 under the uniform law
         assert abs(np.mean(cos_vals)) < 3.0 * math.sqrt(0.5 / n)
         assert abs(np.mean(cos_vals**2) - 0.5) < 3.0 * math.sqrt(0.125 / n)
 
 
 def test_sample_direction_kolmogorov_smirnov():
-    rng = RecordingRng(8)
     n = 100_000
-    _separation_deltas(n, 1.0, ProtocolSpec(Protocol.CLASSICAL), (rng,) * 4)
-    for draws in rng.uniforms:
-        stat = scipy.stats.kstest(
-            draws, "uniform", args=(0.0, 2.0 * math.pi)
-        ).statistic
-        assert stat < 1.628 / math.sqrt(n)  # 1% critical value
+    for u in _recorded_turns(8, n):
+        critical = 1.628 / math.sqrt(n)  # 1% critical value
+        assert scipy.stats.kstest(u, "uniform").statistic < critical
+        # cos(2 pi u) follows the arcsine law on [-1, 1]
+        cos_vals = _direction(u)[0]
+        stat = scipy.stats.kstest(cos_vals, "arcsine", args=(-1.0, 2.0)).statistic
+        assert stat < critical
 
 
 @settings(max_examples=25)

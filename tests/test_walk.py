@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -93,20 +94,20 @@ def test_walk_state_validation():
 def test_step_plus_common_axis_cancels():
     # scripted draws: both directions equal, perfectly anti-correlated
     # signs; sigma_a is +1 for the first step and -1 for the second
-    theta = 0.9
-    rng = ScriptedRng(uniforms=[theta, theta], randoms=[np.array([0.3, 0.7]), 0.2])
+    turn = 0.9 / (2.0 * math.pi)
+    rng = ScriptedRng(randoms=[turn, turn, np.array([0.3, 0.7]), 0.2])
     dx, dy = _separation_deltas(2, 0.5, ProtocolSpec(Protocol.PLUS, 1.0), (rng,) * 4)
     assert np.all(np.abs(dx) <= 1e-12)
     assert np.all(np.abs(dy) <= 1e-12)
 
 
 def test_step_minus_common_axis_doubles():
-    theta = 0.9
-    rng = ScriptedRng(uniforms=[theta, theta], randoms=[np.array([0.3, 0.7]), 0.2])
+    turn = 0.9 / (2.0 * math.pi)
+    rng = ScriptedRng(randoms=[turn, turn, np.array([0.3, 0.7]), 0.2])
     dx, dy = _separation_deltas(2, 0.5, ProtocolSpec(Protocol.MINUS, 1.0), (rng,) * 4)
     sigma_a = np.array([1.0, -1.0])
-    assert dx == pytest.approx(2 * 0.5 * sigma_a * math.cos(theta), abs=1e-12)
-    assert dy == pytest.approx(2 * 0.5 * sigma_a * math.sin(theta), abs=1e-12)
+    assert dx == pytest.approx(2 * 0.5 * sigma_a * math.cos(0.9), abs=1e-12)
+    assert dy == pytest.approx(2 * 0.5 * sigma_a * math.sin(0.9), abs=1e-12)
 
 
 @settings(max_examples=40)
@@ -123,16 +124,31 @@ def test_step_triangle_inequality(seed, kind, p):
     assert np.all(np.abs(r_prime - np.hypot(*sep)) <= 2 * 0.7 + 1e-12)
 
 
-def test_direction_from_one_cosine():
-    theta = np.random.default_rng(31).uniform(0.0, 2.0 * math.pi, 1_000_000)
-    c, s = _direction(theta)
-    assert np.array_equal(c, np.cos(theta))
-    assert np.max(np.abs(s - np.sin(theta))) <= 2e-8
-    assert np.max(np.abs(c * c + s * s - 1.0)) <= 4 * np.finfo(float).eps
-    c, s = _direction(np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2]))
-    assert np.array_equal(np.sign(s), [0.0, 1.0, 0.0, -1.0])
+def test_direction_kernel_matches_libm():
+    eps = np.finfo(float).eps
+    u = np.random.default_rng(31).random(1_000_000)
+    c, s = _direction(u)
+    assert np.max(np.abs(c - np.cos(2.0 * math.pi * u))) <= 4 * eps
+    assert np.max(np.abs(s - np.sin(2.0 * math.pi * u))) <= 4 * eps
+    assert np.max(np.abs(c * c + s * s - 1.0)) <= 4 * eps
+    # a second route: against 60-digit values, where 2 pi u is not rounded
+    with mpmath.workdps(60):
+        for ui, ci, si in zip(u[:2000], c[:2000], s[:2000]):
+            angle = 2 * mpmath.pi * mpmath.mpf(float(ui))
+            assert abs(mpmath.cos(angle) - ci) <= eps
+            assert abs(mpmath.sin(angle) - si) <= eps
+    c, s = _direction(np.array([0.0, 0.25, 0.5, 0.75]))
+    assert np.array_equal(c, [1.0, 0.0, -1.0, 0.0])
+    assert np.array_equal(s, [0.0, 1.0, 0.0, -1.0])
+    assert not np.any(np.signbit(c[[1, 3]]))  # +0 at the quarter turns
     assert not np.any(np.signbit(s[[0, 2]]))  # +0, as sin is there
-    assert np.allclose(s, [0.0, 1.0, 0.0, -1.0], rtol=0.0, atol=4e-16)
+    # near the x axis, where 2 pi u itself is the sine to the last digit;
+    # the last turn reads the table's end, k = 1024
+    u = np.array([1e-300, 1e-12, 1.0 - 2.0**-53])
+    c, s = _direction(u)
+    assert np.array_equal(c, [1.0, 1.0, 1.0])
+    assert s == pytest.approx([2.0 * math.pi * 1e-300, 2.0 * math.pi * 1e-12,
+                               -2.0 * math.pi * 2.0**-53], rel=2 * eps, abs=0.0)
 
 
 def test_step_from_coincident_start():
