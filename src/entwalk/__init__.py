@@ -10,7 +10,7 @@ The package has four layers:
   reproducible chunk-seeded ensembles.
 * :mod:`entwalk.geometry` -- single geodesic steps on the unit sphere and
   the unit hyperboloid, both as an explicit frame-and-rotation
-  construction and as closed-form step-distance laws.
+  construction and as one closed-form step-distance law.
 * :mod:`entwalk.solver` -- angle-averaged squared step distance by
   nested tanh-sinh quadrature, residuals of the implicit curvature-radius
   equations, root finding, curve tracing and threshold extraction.
@@ -21,12 +21,7 @@ names imported below are the public API.
 """
 
 from .correlations import outcome_probability
-from .geometry import (
-    DegenerateConfigurationError,
-    Frame,
-    GeometryKind,
-    build_frames,
-)
+from .geometry import DegenerateConfigurationError, GeometryKind
 from .solver import (
     CurvatureCurve,
     CurvatureProblem,

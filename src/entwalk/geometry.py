@@ -11,9 +11,11 @@ Two independent computation routes are provided:
   geodesic selected by its azimuth (a rotation about an axis through the
   sphere's center, or the hyperbolic flow ``e cosh(lam) + t sinh(lam)``),
   then read off the new geodesic separation from the inner product;
-* the closed-form trigonometric step law, the smooth limit of which also
-  covers the degenerate ``rho = 0`` configuration the construction
-  refuses.
+* the closed-form step law, written once in half-angle form
+  (``_step_distance``), which also covers the degenerate ``rho = 0``
+  configuration the construction refuses.  ``closed_form_distances``
+  evaluates it at given azimuths and the solver's folded trapezoid on its
+  quadrature nodes.
 
 The hyperboloid lives in Minkowski 3-space with signature ``(+, -, -)``:
 points satisfy ``<e, e> = 1`` on the upper sheet, unit tangents satisfy
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,15 +57,6 @@ class GeometryKind(enum.Enum):
 
 class DegenerateConfigurationError(ValueError):
     """Separation at which the tangent frames are undefined."""
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Embedded point with its two tangent basis vectors."""
-
-    point: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
 
 
 def minkowski_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -147,23 +139,6 @@ def _frame_vectors(
     return e_a, e_b, e1, e2a, e2b
 
 
-def build_frames(rho: float, geometry: GeometryKind) -> tuple[Frame, Frame]:
-    """Tangent frames for two agents at scaled separation ``rho``.
-
-    The first tangent vector is common to both frames and normal to the
-    plane of the connecting geodesic; the second vectors complete each
-    frame (A's pointing toward B, B's pointing away from A).
-
-    Raises :class:`DegenerateConfigurationError` at ``rho = 0`` and, on
-    the sphere, at ``rho = pi``.
-    """
-    rho_arr = np.asarray(float(rho))
-    _check_domain(geometry, rho_arr, np.asarray(0.0))
-    _check_nondegenerate(rho_arr, geometry)
-    e_a, e_b, e1, e2a, e2b = _frame_vectors(rho_arr, geometry)
-    return Frame(e_a, e1, e2a), Frame(e_b, e1, e2b)
-
-
 def _rotate_about(v: np.ndarray, axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
     """Rodrigues rotation of ``v`` about the unit vector ``axis``."""
     c = np.cos(angle)[..., None]
@@ -230,6 +205,37 @@ def construction_distances(
     return _invert_cosh(minkowski_dot(moved_a, moved_b), scale)
 
 
+def _step_distance(
+    geometry: GeometryKind,
+    rho: np.ndarray,
+    lam: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+) -> np.ndarray:
+    """Post-step separation by the half-angle step law (broadcasting).
+
+        cos d = C - G [(C + 1) u^2 + (C - 1) v^2] + X u v
+        u = sin((phi_a - phi_b) / 2),  v = sin((phi_a + phi_b) / 2)
+
+    with ``C = cos rho``, ``G = sin^2 lam``, ``X = 2 sin rho cos lam sin lam``
+    on the sphere, and ``C = cosh rho``, ``G = -sinh^2 lam``,
+    ``X = -2 sinh rho cosh lam sinh lam`` (giving ``cosh d``) on the
+    hyperboloid.  In this form distance 0 and the antipode come out exact;
+    a sum of cosine products can land an ulp off at ``d = pi``, which
+    arccos turns into an error of ~1e-8 in ``d``.
+    """
+    if geometry is GeometryKind.SPHERICAL:
+        c, s, cl, sl = np.cos(rho), np.sin(rho), np.cos(lam), np.sin(lam)
+        g, cross = sl * sl, 2.0 * s * cl * sl
+    else:
+        c, s, cl, sl = np.cosh(rho), np.sinh(rho), np.cosh(lam), np.sinh(lam)
+        g, cross = -(sl * sl), -2.0 * s * cl * sl
+    x = c - g * ((c + 1.0) * u * u + (c - 1.0) * v * v) + cross * u * v
+    if geometry is GeometryKind.SPHERICAL:
+        return _invert_cos(x)
+    return _invert_cosh(x, c * cl * cl)
+
+
 def closed_form_distances(
     geometry: GeometryKind,
     rho: np.ndarray,
@@ -237,36 +243,11 @@ def closed_form_distances(
     phi_a: np.ndarray,
     phi_b: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized closed-form step law; smooth at ``rho = 0``."""
-    rho = np.asarray(rho, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    phi_a = np.asarray(phi_a, dtype=float)
-    phi_b = np.asarray(phi_b, dtype=float)
-    _check_domain(geometry, rho, lam)
-    if geometry is GeometryKind.SPHERICAL:
-        # Half-angle form: at the antipode (d = pi) it gives cos d = -1
-        # exactly.  A sum of cosine products can land an ulp off there,
-        # which arccos turns into an error of ~1e-8 in d.
-        sl = np.sin(lam)
-        cl = np.cos(lam)
-        cr = np.cos(rho)
-        u = np.sin(0.5 * (phi_a - phi_b))
-        v = np.sin(0.5 * (phi_a + phi_b))
-        x = (
-            cr
-            - sl * sl * ((cr + 1.0) * u * u + (cr - 1.0) * v * v)
-            + 2.0 * np.sin(rho) * cl * sl * u * v
-        )
-        return _invert_cos(x)
-    cos_a = np.cos(phi_a)
-    cos_b = np.cos(phi_b)
-    sin_ab = np.sin(phi_a) * np.sin(phi_b)
-    sl = np.sinh(lam)
-    cl = np.cosh(lam)
-    x = (
-        np.cosh(rho) * (cl * cl - cos_a * cos_b * sl * sl)
-        - np.sinh(rho) * (cos_b - cos_a) * cl * sl
-        - sin_ab * sl * sl
+    """Vectorized closed-form step law (``_step_distance``); smooth at ``rho = 0``."""
+    rho, lam, phi_a, phi_b = (
+        np.asarray(a, dtype=float) for a in (rho, lam, phi_a, phi_b)
     )
-    return _invert_cosh(x, np.cosh(rho) * cl * cl)
-
+    _check_domain(geometry, rho, lam)
+    u = np.sin(0.5 * (phi_a - phi_b))
+    v = np.sin(0.5 * (phi_a + phi_b))
+    return _step_distance(geometry, rho, lam, u, v)

@@ -27,9 +27,10 @@ Solution points of
 
 are traced along ``lam`` by predictor-corrector continuation (Allgower &
 Georg) from the small-step intercept ``(0, rho0)``, with a coarse guard
-scan that adds every root continuation misses as a new branch.  The
-axis crossing and the intercept come from a uniform sign scan plus
-bisection.  ``curve`` and ``threshold`` both read ``certified_curve``.
+scan that adds every root continuation misses as a new branch.  Every
+root, the axis crossing and the intercept included, is solved inside a
+sign-change bracket by ``_illinois``.  ``curve`` and ``threshold`` both
+read ``certified_curve``.
 
 The small-step expansion ``F = rho^2 + lam^2 (1 + rho cot(rho)) + O(lam^4)``
 (``coth`` on the hyperboloid) serves as an independent analytic oracle;
@@ -49,18 +50,17 @@ from .geometry import (
     GeometryKind,
     _check_domain,
     _invert_cos,
-    _invert_cosh,
+    _step_distance,
     arccosh_from_excess,
 )
 
-DEFAULT_SCAN_PANELS = 512
 DEFAULT_BISECT_TOL = 1e-10
 CERTIFICATION_TOL = 1e-8
 
 #: Escalation cap for per-point certification refinement.
 MAX_CERTIFY_NODES = 2048
 
-#: Upper ends of the threshold scans for the axis crossing of F(0, lam).
+#: Upper ends of the bracket search for the axis crossing of F(0, lam).
 _LAMBDA_SCAN_MAX = {
     GeometryKind.SPHERICAL: math.pi,
     GeometryKind.HYPERBOLIC: 10.0,
@@ -82,10 +82,10 @@ _RHO_MAX = {
 #: Coarse ``rho`` panels per ``lam`` of the guard scan behind continuation.
 _GUARD_PANELS = 64
 
-# Quadrature temporaries hold at most this many float64 elements (128 KB),
-# under malloc's default mmap threshold: larger ones are mapped and
-# page-faulted afresh on every call, which doubles the kernel's time.
-_CHUNK_BUDGET = 1 << 14
+# Quadrature temporaries hold at most this many float64 elements (64 KiB),
+# under glibc's default mmap threshold of 128 KiB: temporaries that size or
+# larger are mapped and page-faulted afresh on every call.
+_CHUNK_BUDGET = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -206,53 +206,27 @@ def _quad_mean(
 ) -> np.ndarray:
     """Folded periodic trapezoid of ``F`` on the n x n azimuth grid.
 
-    In the sum and difference indices ``s = i + j``, ``t = i - j`` (mod n),
-    with ``u_k = sin(pi k / n)``, ``G = sin(lam)^2`` and
-    ``R = 2 sin(rho) cos(lam) sin(lam)`` (``cosh``/``sinh`` and
-    ``G = -sinh(lam)^2`` on the hyperboloid) the step law reads
-
-        cos d = cos rho - G (cos rho + 1) u_t^2 - G (cos rho - 1) u_s^2 +- R u_s u_t
-
-    The two signs are the nodes ``(i, j)`` and ``(i + n/2, j + n/2)``;
-    only ``0 <= s, t <= n/2`` with ``s = t (mod 2)`` is evaluated, each
-    node weighted by the size of its orbit.  In ``u^2`` form, distance 0 and
-    the antipode come out exact.  Spectral where the integrand is smooth,
-    algebraic at the spherical crease: the independent reference route.
+    In the sum and difference indices ``s = i + j``, ``t = i - j`` (mod n)
+    the half-angles of ``geometry._step_distance`` are ``u = sin(pi t / n)``
+    and ``v = +-sin(pi s / n)``.  The two signs are the nodes ``(i, j)`` and
+    ``(i + n/2, j + n/2)``; only ``0 <= s, t <= n/2`` with ``s = t (mod 2)``
+    is evaluated, each node weighted by the size of its orbit.  Spectral
+    where the integrand is smooth, algebraic at the spherical crease: the
+    independent reference route.
     """
-    spherical = geometry is GeometryKind.SPHERICAL
-    if spherical:
-        cr, sr, cl, sl = np.cos(rho), np.sin(rho), np.cos(lam), np.sin(lam)
-        g = sl * sl
-    else:
-        cr, sr, cl, sl = np.cosh(rho), np.sinh(rho), np.cosh(lam), np.sinh(lam)
-        g = -(sl * sl)
-        scale = cr * cl * cl
-    along_t = g * (cr + 1.0)
-    along_s = g * (cr - 1.0)
-    cross = 2.0 * sr * cl * sl
-
     half = n // 2
     out = np.zeros(rho.size)
     for parity in (0, 1):
         k = np.arange(parity, half + 1, 2)
         u = np.sin(math.pi * k / n)
-        u2 = u * u
         weight = np.where((k == 0) | (k == half), 1.0, 2.0)
         pts = max(1, _CHUNK_BUDGET // (k.size * k.size))
         for lo in range(0, rho.size, pts):
             sel = slice(lo, lo + pts)
+            r, l = rho[sel, None, None], lam[sel, None, None]
             # s runs along axis 1, t along axis 2
-            base = (cr[sel, None] - along_t[sel, None] * u2)[:, None, :] - (
-                along_s[sel, None] * u2
-            )[:, :, None]
-            mixed = (cross[sel, None] * u)[:, :, None] * u
-            if spherical:
-                d_plus = _invert_cos(base + mixed)
-                d_minus = _invert_cos(base - mixed)
-            else:
-                sc = scale[sel, None, None]
-                d_plus = _invert_cosh(base + mixed, sc)
-                d_minus = _invert_cosh(base - mixed, sc)
+            d_plus = _step_distance(geometry, r, l, u, u[:, None])
+            d_minus = _step_distance(geometry, r, l, u, -u[:, None])
             sq = d_plus * d_plus + d_minus * d_minus
             out[sel] += np.einsum("kst,s,t->k", sq, weight, weight)
     return out / (n * n)
@@ -404,43 +378,6 @@ def residual(
     return f - (rho * rho + problem.w * lam * lam)
 
 
-def _find_roots(f, lo: float, hi: float, exclude_lo: bool = False) -> list[float]:
-    """All sign-change roots of vectorized ``f`` on [lo, hi].
-
-    Scans ``DEFAULT_SCAN_PANELS`` uniform panels, then drives each bracket
-    to width ``DEFAULT_BISECT_TOL`` by bisection (vectorized across
-    brackets).  Exact zeros on panel edges are returned as-is;
-    ``exclude_lo`` drops an exact zero at the left endpoint (used where
-    that zero is a known trivial solution).
-    """
-    xs = np.linspace(lo, hi, DEFAULT_SCAN_PANELS + 1)
-    fs = np.asarray(f(xs), dtype=float)
-
-    roots = [float(x) for x, v in zip(xs, fs) if v == 0.0]
-    if exclude_lo and roots and roots[0] == lo and fs[0] == 0.0:
-        roots = roots[1:]
-
-    bracket = fs[:-1] * fs[1:] < 0.0
-    b_lo = xs[:-1][bracket]
-    b_hi = xs[1:][bracket]
-    f_lo = fs[:-1][bracket]
-    if b_lo.size:
-        lo_arr, hi_arr, flo = b_lo, b_hi, f_lo
-        width = (hi - lo) / DEFAULT_SCAN_PANELS
-        max_iter = max(1, int(math.ceil(math.log2(width / DEFAULT_BISECT_TOL))) + 2)
-        for _ in range(max_iter):
-            mid = 0.5 * (lo_arr + hi_arr)
-            fm = np.asarray(f(mid), dtype=float)
-            take_left = flo * fm <= 0.0
-            hi_arr = np.where(take_left, mid, hi_arr)
-            lo_arr = np.where(take_left, lo_arr, mid)
-            flo = np.where(take_left, flo, fm)
-            if np.all(hi_arr - lo_arr <= DEFAULT_BISECT_TOL):
-                break
-        roots.extend((0.5 * (lo_arr + hi_arr)).tolist())
-    return sorted(roots)
-
-
 def _illinois(f, a, b, fa, fb, max_iter=80) -> float:
     """Bracketed scalar root by the Illinois variant of regula falsi."""
     if fa == 0.0:
@@ -477,12 +414,15 @@ def make_lambda_grid(
 
     ``steps`` evenly spaced values from ``lambda_min`` to ``lambda_max``.
     Either bound may be ``None`` on its own: ``lambda_min`` then
-    defaults to 0.02 on the sphere and 0.05 on the hyperboloid, and
-    ``lambda_max`` to 98% of the axis crossing ``lambda_star``, or to
-    half the scan range when there is no crossing.
+    defaults to 0.02 on the sphere and 0.05 on the hyperboloid, or to
+    half the axis crossing ``lambda_star`` where that is smaller, and
+    ``lambda_max`` to 98% of ``lambda_star``, or to half the scan range
+    when there is no crossing.
     """
     if lambda_min is None:
         lambda_min = _LAMBDA_GRID_MIN[problem.geometry]
+        if lambda_star is not None:
+            lambda_min = min(lambda_min, 0.5 * lambda_star)
     if lambda_max is None:
         if lambda_star is not None:
             lambda_max = 0.98 * lambda_star
@@ -604,11 +544,7 @@ def _refine_scalar_root(
         b = min(hi_cap, x0 + half)
         fa = float(f(a))
         fb = float(f(b))
-        if fa == 0.0:
-            return a
-        if fb == 0.0:
-            return b
-        if (fa > 0) != (fb > 0):
+        if fa == 0.0 or fb == 0.0 or (fa > 0) != (fb > 0):
             return _illinois(f, a, b, fa, fb)
         half *= 8.0
         if a == 0.0 and b == hi_cap:
@@ -663,12 +599,36 @@ def certify_curve(
 def axis_crossing(
     problem: CurvatureProblem, quad: QuadratureSpec = QuadratureSpec()
 ) -> float | None:
-    """First positive root of ``F(0, lam) = w lam^2``: the curve meets ``rho = 0``."""
-    roots = _find_roots(
-        lambda lam: residual(problem, 0.0, lam, quad),
-        0.0, _LAMBDA_SCAN_MAX[problem.geometry], exclude_lo=True,
-    )
-    return roots[0] if roots else None
+    """First positive root of ``F(0, lam) = w lam^2``: the curve meets ``rho = 0``.
+
+    As ``F(0, lam) = 2 lam^2 -+ lam^4 / 6 + O(lam^6)``, ``Phi(0, lam)`` has
+    the sign of ``2 - w`` below the crossing.  The bracket starts at
+    ``lam = 0.05``, shrinks by 1.5 until ``Phi`` has that sign, then grows
+    by 1.5 up to ``_LAMBDA_SCAN_MAX`` until the sign flips; ``_illinois``
+    solves inside it.  None at ``w = 2`` and when the sign never flips.
+    """
+    below = 2.0 - problem.w
+    if below == 0.0:
+        return None
+
+    def phi(lam):
+        return residual(problem, 0.0, lam, quad)
+
+    lo, f_lo = 0.05, phi(0.05)
+    while (f_lo > 0.0) != (below > 0.0):
+        lo /= 1.5
+        if lo < DEFAULT_BISECT_TOL:
+            return None
+        f_lo = phi(lo)
+    cap = _LAMBDA_SCAN_MAX[problem.geometry]
+    hi, f_hi = lo, f_lo
+    while f_hi != 0.0 and (f_hi > 0.0) == (below > 0.0):
+        if hi >= cap:
+            return None
+        lo, f_lo = hi, f_hi
+        hi = min(1.5 * hi, cap)
+        f_hi = phi(hi)
+    return _illinois(phi, lo, hi, f_lo, f_hi)
 
 
 def certified_axis_crossing(
@@ -686,15 +646,22 @@ def certified_axis_crossing(
 
 
 def _series_intercept(problem: CurvatureProblem) -> float | None:
-    """Root of ``small_lambda_series(rho) = w``: the ``lam -> 0`` intercept."""
+    """Root of ``small_lambda_series(rho) = w``: the ``lam -> 0`` intercept.
+
+    The series is monotone in ``rho``, so one ``_illinois`` bracket holds
+    the root; None when its ends do not differ in sign (as at ``w = 2``).
+    """
     geometry = problem.geometry
     hi = (math.pi * (1.0 - 1e-12) if geometry is GeometryKind.SPHERICAL
           else _LAMBDA_SCAN_MAX[geometry])
-    roots = _find_roots(
-        lambda rho: small_lambda_series(geometry, rho) - problem.w,
-        1e-9, hi, exclude_lo=True,
-    )
-    return roots[0] if roots else None
+
+    def g(rho):
+        return small_lambda_series(geometry, rho) - problem.w
+
+    f_lo, f_hi = g(1e-9), g(hi)
+    if f_lo * f_hi >= 0.0:
+        return None
+    return _illinois(g, 1e-9, hi, f_lo, f_hi)
 
 
 def certified_curve(

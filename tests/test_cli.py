@@ -265,6 +265,19 @@ def test_threshold_reads_the_curve_grid(tmp_path):
     assert payload["ratio_sup"] == max(float(r[4]) for r in rows if r[4])
 
 
+@pytest.mark.parametrize("geometry", ["spherical", "hyperbolic"])
+def test_near_flat_weight_traces_the_default_grid(tmp_path, geometry):
+    # p = 1e-5: lambda* = 0.0077 lies below the default lambda_min of 0.02
+    rows, payload = curve_and_threshold(tmp_path, "--geometry", geometry, "--p", "1e-5")
+    body = [r for r in rows if r[4]]
+    axis_rows = [r for r in rows if not r[4]]
+    assert len(body) == 32
+    assert all(abs(float(r[2])) <= 1e-8 for r in rows)
+    assert len(axis_rows) == 1 and float(axis_rows[0][1]) == 0.0
+    assert payload["lambda_star"] == float(axis_rows[0][0])
+    assert float(body[-1][0]) < payload["lambda_star"]
+
+
 def test_threshold_extrema_are_the_certified_rows_through_escalation(tmp_path):
     # sphere defaults: points near the crease are re-solved on finer grids,
     # so extrema of uncertified traced points would differ in the 5th digit

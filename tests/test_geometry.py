@@ -10,10 +10,10 @@ from entwalk.geometry import (
     DegenerateConfigurationError,
     GeometryKind,
     arccosh_from_excess,
-    build_frames,
     closed_form_distances,
     construction_distances,
     minkowski_dot,
+    _frame_vectors,
     _invert_cos,
     _invert_cosh,
 )
@@ -41,23 +41,29 @@ def random_configs(seed, n, geometry):
 # frames
 
 
+def build_frames(rho, geometry):
+    """``(point, e1, e2)`` of A's and of B's tangent frame at separation rho."""
+    e_a, e_b, e1, e2a, e2b = _frame_vectors(np.asarray(float(rho)), geometry)
+    return (e_a, e1, e2a), (e_b, e1, e2b)
+
+
 def test_spherical_frames_orthogonality_at_right_angle():
-    fa, fb = build_frames(math.pi / 2, S)
-    assert abs(np.dot(fa.point, fb.point)) < 1e-12
-    assert abs(np.dot(fa.e1, fa.point)) < 1e-12
-    assert abs(np.dot(fb.e1, fb.point)) < 1e-12
-    assert np.allclose(fa.e1, fb.e1)
+    (pa, e1a, _), (pb, e1b, _) = build_frames(math.pi / 2, S)
+    assert abs(np.dot(pa, pb)) < 1e-12
+    assert abs(np.dot(e1a, pa)) < 1e-12
+    assert abs(np.dot(e1b, pb)) < 1e-12
+    assert np.allclose(e1a, e1b)
 
 
 def test_hyperbolic_frames_distance_inner_product():
-    fa, fb = build_frames(1.0, H)
-    assert abs(minkowski_dot(fa.point, fb.point) - math.cosh(1.0)) < 1e-12
+    (pa, _, _), (pb, _, _) = build_frames(1.0, H)
+    assert abs(minkowski_dot(pa, pb) - math.cosh(1.0)) < 1e-12
 
 
 @given(rho=st.floats(min_value=0.01, max_value=math.pi - 0.01))
 def test_spherical_frame_gram_matrix(rho):
-    for frame in build_frames(rho, S):
-        basis = [frame.e1, frame.e2, frame.point]
+    for point, e1, e2 in build_frames(rho, S):
+        basis = [e1, e2, point]
         for i, u in enumerate(basis):
             for j, v in enumerate(basis):
                 target = 1.0 if i == j else 0.0
@@ -69,26 +75,26 @@ def test_hyperbolic_frame_gram_matrix(rho):
     # signature: point +1, tangents -1, mixed products vanish; the
     # cancellation in cosh^2 - sinh^2 scales the rounding floor by cosh(rho)
     tol = 1e-12 * (1.0 + math.cosh(rho))
-    for frame in build_frames(rho, H):
-        assert abs(minkowski_dot(frame.point, frame.point) - 1.0) < tol
-        assert frame.point[0] >= 1.0
-        for t in (frame.e1, frame.e2):
+    for point, e1, e2 in build_frames(rho, H):
+        assert abs(minkowski_dot(point, point) - 1.0) < tol
+        assert point[0] >= 1.0
+        for t in (e1, e2):
             assert abs(minkowski_dot(t, t) + 1.0) < tol
-            assert abs(minkowski_dot(t, frame.point)) < tol
-        assert abs(minkowski_dot(frame.e1, frame.e2)) < tol
+            assert abs(minkowski_dot(t, point)) < tol
+        assert abs(minkowski_dot(e1, e2)) < tol
 
 
 def test_frames_degenerate_separations_raise():
     with pytest.raises(DegenerateConfigurationError):
-        build_frames(0.0, S)
+        construction_distances(S, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(DegenerateConfigurationError):
-        build_frames(math.pi, S)
+        construction_distances(S, math.pi, 0.0, 0.0, 0.0)
     with pytest.raises(DegenerateConfigurationError):
-        build_frames(0.0, H)
+        construction_distances(H, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
-        build_frames(3.5, S)  # beyond the spherical domain
+        construction_distances(S, 3.5, 0.0, 0.0, 0.0)  # beyond the spherical domain
     with pytest.raises(ValueError):
-        build_frames(25.0, H)  # beyond the working cap
+        construction_distances(H, 25.0, 0.0, 0.0, 0.0)  # beyond the working cap
 
 
 # ---------------------------------------------------------------------------

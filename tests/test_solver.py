@@ -358,6 +358,7 @@ def test_trace_is_empty_at_the_flat_weight(geometry):
     # w = 2: the series condition has no root rho0 and Phi never changes sign
     problem = CurvatureProblem(geometry, 2.0)
     assert solver._series_intercept(problem) is None
+    assert axis_crossing(problem) is None
     grid = make_lambda_grid(problem, None, None, None, DEFAULT_LAMBDA_STEPS)
     assert trace_curve(problem, grid).points == ()
 
@@ -408,6 +409,23 @@ def test_axis_crossing_spherical_bracket_and_stability():
     assert 1.5 < star128 < 2.0
     assert abs(star128 - star256) <= 1e-6
     assert star128 == pytest.approx(LAMBDA_STAR_SPH, abs=1e-9)
+
+
+@pytest.mark.parametrize("geometry,side", [(S, -1.0), (H, 1.0)])
+@pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6])
+def test_axis_crossing_near_the_flat_weight(geometry, side, gap):
+    # F(0, lam) = 2 lam^2 -+ lam^4 / 6 + O(lam^6): lam* = sqrt(6 |2 - w|) (1 + O(|2 - w|))
+    result = certified_axis_crossing(CurvatureProblem(geometry, 2.0 + side * gap))
+    assert result is not None
+    lam_star, cert, _ = result
+    assert abs(cert) <= 1e-8
+    assert abs(lam_star / math.sqrt(6.0 * gap) - 1.0) <= gap
+
+
+def test_default_lambda_min_stays_below_a_small_axis_crossing():
+    assert make_lambda_grid(SPH_W1, 1.74, None, None, 4)[0] == 0.02
+    assert make_lambda_grid(SPH_W1, 0.01, None, None, 4)[0] == 0.005
+    assert make_lambda_grid(HYP_W3, 0.06, None, None, 4)[0] == 0.03
 
 
 def test_certified_axis_crossing_both_geometries():
