@@ -25,12 +25,12 @@ Solution points of
 
     Phi(rho, lam) = F(rho, lam) - rho^2 - w lam^2 = 0
 
-are traced along ``lam`` by predictor-corrector continuation (Allgower &
-Georg) from the small-step intercept ``(0, rho0)``, with a coarse guard
-scan that adds every root continuation misses as a new branch.  Every
-root, the axis crossing and the intercept included, is solved inside a
-sign-change bracket by ``_illinois``.  ``curve`` and ``threshold`` both
-read ``certified_curve``.
+are found at each grid ``lam`` by a coarse guard scan over ``rho``: every
+sign change of ``Phi`` across a guard panel is one root, and roots are
+linked into branches across ``lam`` by nearness.  Every root, the axis
+crossing and the intercept included, is solved inside a sign-change
+bracket by ``_illinois`` (Dowell & Jarratt).  ``curve`` and ``threshold``
+both read ``certified_curve``.
 
 The small-step expansion ``F = rho^2 + lam^2 (1 + rho cot(rho)) + O(lam^4)``
 (``coth`` on the hyperboloid) serves as an independent analytic oracle;
@@ -79,7 +79,8 @@ _RHO_MAX = {
     GeometryKind.HYPERBOLIC: RHO_CAP,
 }
 
-#: Coarse ``rho`` panels per ``lam`` of the guard scan behind continuation.
+#: ``rho`` panels per ``lam`` of the guard scan; each panel ``Phi`` changes
+#: sign across holds one root of ``trace_curve``.
 _GUARD_PANELS = 64
 
 # Quadrature temporaries hold at most this many float64 elements (64 KiB),
@@ -102,9 +103,6 @@ class QuadratureSpec:
                 f"nodes_per_axis must be an even integer >= 16, got {n!r}"
             )
         object.__setattr__(self, "nodes_per_axis", int(n))
-
-    def doubled(self) -> "QuadratureSpec":
-        return QuadratureSpec(2 * self.nodes_per_axis)
 
 
 @dataclass(frozen=True)
@@ -379,7 +377,12 @@ def residual(
 
 
 def _illinois(f, a, b, fa, fb, max_iter=80) -> float:
-    """Bracketed scalar root by the Illinois variant of regula falsi."""
+    """Bracketed scalar root by the Illinois variant of regula falsi.
+
+    Stops once the bracket is ``DEFAULT_BISECT_TOL`` wide, relative to the
+    root where that is below 1, so ``1 / rho`` keeps its digits at small
+    ``rho``.
+    """
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -389,8 +392,9 @@ def _illinois(f, a, b, fa, fb, max_iter=80) -> float:
         # keep strictly inside; fall back to bisection steps if stuck
         if not (min(a, b) < x < max(a, b)):
             x = 0.5 * (a + b)
+        tol = DEFAULT_BISECT_TOL * min(1.0, abs(x))
         fx = float(f(x))
-        if fx == 0.0 or abs(b - a) <= DEFAULT_BISECT_TOL:
+        if fx == 0.0 or abs(b - a) <= tol:
             return x
         if (fx > 0) == (fb > 0):
             b, fb = x, fx
@@ -398,7 +402,7 @@ def _illinois(f, a, b, fa, fb, max_iter=80) -> float:
         else:
             a, fa = b, fb
             b, fb = x, fx
-        if abs(b - a) <= DEFAULT_BISECT_TOL:
+        if abs(b - a) <= tol:
             return 0.5 * (a + b)
     return 0.5 * (a + b)
 
@@ -435,21 +439,6 @@ def make_lambda_grid(
     return np.linspace(lambda_min, lambda_max, steps)
 
 
-def _predict(tail: list[tuple[float, float]], lam: float) -> tuple[float, float]:
-    """Predicted ``rho`` at ``lam`` and the half-width of its first bracket.
-
-    Linear extrapolation from a branch's last two points ``(lam, rho)``
-    (constant from one, as ``rho'(0) = 0`` at the intercept).  The half-width
-    is the predicted change or the squared step, whichever is larger.
-    """
-    last_lam, last_rho = tail[-1]
-    guess = last_rho
-    if len(tail) == 2:
-        prev_lam, prev_rho = tail[0]
-        guess += (last_rho - prev_rho) * (lam - last_lam) / (last_lam - prev_lam)
-    return guess, max(abs(guess - last_rho), (lam - last_lam) ** 2)
-
-
 def trace_curve(
     problem: CurvatureProblem,
     lambda_grid,
@@ -457,13 +446,14 @@ def trace_curve(
 ) -> CurvatureCurve:
     """Solution points ``rho(lam)`` over a strictly increasing ``lambda_grid``.
 
-    The branch through the intercept starts at ``(0, rho0)``; each next
-    point is ``_predict``-ed and corrected by ``_refine_scalar_root`` to
-    ``DEFAULT_BISECT_TOL``.  A branch ends where the corrector finds no
-    sign change or lands on another branch's root.  The guard evaluates
-    the residual on ``_GUARD_PANELS`` ``rho`` panels at every grid value
-    in one call; each sign change holding no continued root is solved and
-    starts a new branch.  Points of one ``lam`` are listed by rising ``rho``.
+    The guard evaluates the residual on ``_GUARD_PANELS`` ``rho`` panels at
+    every grid value in one call.  Each panel across which it changes sign,
+    or whose lower node it vanishes at, holds one root, solved by
+    ``_illinois`` from the row's values at the panel ends.  Points of one
+    ``lam`` are listed by rising ``rho``.  Roots are linked closest pair
+    first: a root continues the branch of the nearest root at the previous
+    ``lam`` that no closer pair has taken; a root left over starts a new
+    branch with the next id, from 0.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -472,47 +462,38 @@ def trace_curve(
         raise ValueError("lambda_grid must be strictly increasing")
     if np.any(grid <= 0.0):
         raise ValueError("lambda_grid values must be positive")
-    rho_hi = _RHO_MAX[problem.geometry]
     if problem.geometry is GeometryKind.HYPERBOLIC and np.any(grid > RHO_CAP):
         raise ValueError(f"hyperbolic lam values are capped at {RHO_CAP}")
 
-    nodes = np.linspace(0.0, rho_hi, _GUARD_PANELS + 1)
+    nodes = np.linspace(0.0, _RHO_MAX[problem.geometry], _GUARD_PANELS + 1)
     guard = residual(problem, nodes[None, :], grid[:, None], quad)
-    rho0 = _series_intercept(problem)
-    tails: dict[int, list[tuple[float, float]]] = {}
-    if rho0 is not None:
-        tails[0] = [(0.0, rho0)]
-    next_id = len(tails)
+    last: dict[int, float] = {}  # branch id -> its root at the previous lam
+    next_id = 0
     found: list[tuple[float, float, int]] = []
     for lam, row in zip(grid.tolist(), guard):
 
         def phi(x, lam=lam):
             return residual(problem, x, lam, quad)
 
-        roots: dict[int, float] = {}
-        for bid, tail in list(tails.items()):
-            guess, half = _predict(tail, lam)
-            root = _refine_scalar_root(phi, min(max(guess, 0.0), rho_hi), rho_hi, half)
-            if root is None or any(
-                abs(root - r) <= 2.0 * DEFAULT_BISECT_TOL for r in roots.values()
-            ):
-                del tails[bid]
-                continue
-            roots[bid] = root
-            tails[bid] = [tail[-1], (lam, root)]
-        for i in np.flatnonzero(row[:-1] * row[1:] <= 0.0):
-            a, b = nodes[i], nodes[i + 1]
-            if any(
-                a - DEFAULT_BISECT_TOL <= r <= b + DEFAULT_BISECT_TOL
-                for r in roots.values()
-            ):
-                continue
-            root = _illinois(phi, a, b, row[i], row[i + 1])
-            roots[next_id] = root
-            tails[next_id] = [(lam, root)]
-            next_id += 1
-        for bid, root in sorted(roots.items(), key=lambda item: item[1]):
-            found.append((lam, root, bid))
+        sign = np.sign(row)
+        roots = [
+            _illinois(phi, nodes[i], nodes[i + 1], row[i], row[i + 1])
+            for i in np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
+        ]
+        ids: dict[int, int] = {}  # root index -> branch id
+        for _, i, bid in sorted(
+            (abs(root - prev), i, bid)
+            for i, root in enumerate(roots)
+            for bid, prev in last.items()
+        ):
+            if i not in ids and bid not in ids.values():
+                ids[i] = bid
+        for i in range(len(roots)):
+            if i not in ids:
+                ids[i] = next_id
+                next_id += 1
+        last = {ids[i]: root for i, root in enumerate(roots)}
+        found.extend((lam, root, ids[i]) for i, root in enumerate(roots))
 
     if not found:
         return CurvatureCurve(())
@@ -526,19 +507,16 @@ def trace_curve(
     )
 
 
-def _refine_scalar_root(
-    f, x0: float, hi_cap: float, half: float | None = None
-) -> float | None:
+def _refine_scalar_root(f, x0: float, hi_cap: float) -> float | None:
     """Root of ``f`` near ``x0`` in ``[0, hi_cap]`` by a widening bracket.
 
-    The bracket reaches ``half`` (default ``1e-4 max(1, |x0|)``) to each
-    side of ``x0`` and widens eightfold, up to eight times, until ``f``
-    changes sign across it; ``_illinois`` then solves inside it.  Returns
-    None when no bracket is found (a finer objective may have lost the
-    root, e.g. at a tangency, or the branch may have ended).
+    The bracket reaches ``1e-4 max(1, |x0|)`` to each side of ``x0`` and
+    widens eightfold, up to eight times, until ``f`` changes sign across
+    it; ``_illinois`` then solves inside it.  Returns None when no bracket
+    is found (a finer objective may have lost the root, e.g. at a
+    tangency).
     """
-    if half is None:
-        half = 1e-4 * max(1.0, abs(x0))
+    half = 1e-4 * max(1.0, abs(x0))
     for _ in range(8):
         a = max(0.0, x0 - half)
         b = min(hi_cap, x0 + half)

@@ -297,7 +297,7 @@ def mc_sq_separation(
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """Per-step ensemble statistics; arrays have length ``n_steps + 1``.
+    """Per-step statistics of ``run_ensemble``; arrays have length ``n_steps + 1``.
 
     ``stderr_r2[t]`` is the standard error of ``mean_r2[t]`` over the
     walkers (0 at step 0, NaN with a single walker).
@@ -309,10 +309,6 @@ class EnsembleResult:
     mean_r2: np.ndarray
     stderr_r2: np.ndarray
     meeting_fraction: np.ndarray
-    n_steps: int
-    n_walkers: int
-    meeting_radius: float
-    seed: int
 
 
 def _add_chunk_stats(
@@ -416,8 +412,4 @@ def run_ensemble(
         mean_r2=mean_r2,
         stderr_r2=stderr_r2,
         meeting_fraction=met_total / n_walkers,
-        n_steps=n_steps,
-        n_walkers=n_walkers,
-        meeting_radius=meeting_radius,
-        seed=seed,
     )

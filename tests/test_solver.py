@@ -44,7 +44,6 @@ def test_quadrature_spec_validation():
         QuadratureSpec(14)
     with pytest.raises(ValueError):
         QuadratureSpec(33)
-    assert QuadratureSpec(128).doubled().nodes_per_axis == 256
 
 
 def test_problem_pairing_validation():
@@ -363,17 +362,26 @@ def test_trace_is_empty_at_the_flat_weight(geometry):
     assert trace_curve(problem, grid).points == ()
 
 
-def test_guard_adds_roots_that_continuation_misses(monkeypatch):
-    grid = np.linspace(0.1, 1.2, 6)
-    reference = trace_curve(SPH_W1, grid)
-    # predict far off the branch with a tiny bracket: every correction fails
-    monkeypatch.setattr(solver, "_predict", lambda tail, lam: (math.pi, 1e-12))
-    guarded = trace_curve(SPH_W1, grid)
-    assert [pt.lam for pt in guarded.points] == grid.tolist()
-    for pt, ref in zip(guarded.points, reference.points):
-        assert abs(pt.rho - ref.rho) <= 1e-9
-    # each root is a new branch the guard started
-    assert [pt.branch_id for pt in guarded.points] == [1, 2, 3, 4, 5, 6]
+def test_guard_brackets_link_branches(monkeypatch):
+    # synthetic Phi: a root on a guard node, a root moving with lam, and a
+    # root that appears below both at lam = 0.3
+    on_node = np.linspace(0.0, math.pi, solver._GUARD_PANELS + 1)[20]
+
+    def synthetic(problem, rho, lam, quad=QuadratureSpec()):
+        late = np.where(np.asarray(lam) >= 0.3, 0.5, 4.0)
+        return (rho - on_node) * (rho - 1.8 - lam) * (rho - late)
+
+    monkeypatch.setattr(solver, "residual", synthetic)
+    grid = np.linspace(0.1, 0.5, 5)
+    pts = trace_curve(SPH_W1, grid).points
+    by_lam = {lam: [(pt.rho, pt.branch_id) for pt in pts if pt.lam == lam]
+              for lam in grid.tolist()}
+    for lam, row in by_lam.items():
+        assert [rho for rho, _ in row] == sorted(rho for rho, _ in row)
+        assert [rho for rho, _ in row if rho == on_node] == [on_node]
+        ids = [0, 1] if lam < 0.3 else [2, 0, 1]
+        assert [bid for _, bid in row] == ids
+        assert all(abs(synthetic(None, rho, lam)) <= 1e-9 for rho, _ in row)
 
 
 def test_certified_residuals_smooth_region():
