@@ -12,7 +12,8 @@ Subcommands
     Traced solution curve of the curvature equation; CSV columns
     ``lambda,rho,residual,branch_id,l_over_r,R_over_r`` where ``residual``
     is the root's residual re-evaluated on a grid twice as fine as the
-    one it was solved on.  Exit 1 if any root fails certification.
+    one it was solved on.  Exit 1 if any root fails certification or a
+    grid ``lambda`` below the axis crossing has no root.
 ``threshold``
     JSON report with endpoints, per-branch ratio bounds and the
     comparison against the reference value 0.64.
@@ -220,25 +221,22 @@ def cmd_curve(cfg: RunConfig) -> int:
 
     points = list(cert.curve.points)
     residuals = list(cert.certified)
+    # a grid lam below the axis crossing with no row is a root the guard missed
+    solved = {pt.lam for pt in points}
+    ok = axis is None or all(lam in solved for lam in grid.tolist() if lam < axis[0])
 
     # The curve meets the rho = 0 axis where F(0, lam) = w lam^2; append
-    # that endpoint (within the grid's reach) so the file records it.
+    # that endpoint (within the grid's reach) so the file records it.  It
+    # is the lowest root at its lam, so its rank is 0.
     if axis is not None and grid[0] <= axis[0]:
         lam_star, axis_cert, _ = axis
-        branch_id = 0
-        if points:
-            last = min(points, key=lambda pt: (pt.rho, -pt.lam))
-            branch_id = last.branch_id
         points.append(
-            solver.CurvePoint(
-                lam=lam_star, rho=0.0, residual=axis_cert, branch_id=branch_id
-            )
+            solver.CurvePoint(lam=lam_star, rho=0.0, residual=axis_cert, branch_id=0)
         )
         residuals.append(axis_cert)
 
     images = solver.figure3_transform(solver.CurvatureCurve(tuple(points)))
     rows = []
-    ok = True
     for pt, res, image in zip(points, residuals, images):
         ok = ok and abs(res) <= solver.CERTIFICATION_TOL
         # an axis point has no finite ratio image: blank cells
@@ -247,13 +245,7 @@ def cmd_curve(cfg: RunConfig) -> int:
             else [_fmt(image.l_over_r), _fmt(image.R_over_r)]
         )
         rows.append(
-            [
-                _fmt(pt.lam),
-                _fmt(pt.rho),
-                _fmt(res),
-                str(pt.branch_id),
-                *ratio_cells,
-            ]
+            [_fmt(pt.lam), _fmt(pt.rho), _fmt(res), str(pt.branch_id), *ratio_cells]
         )
     header = ["lambda", "rho", "residual", "branch_id", "l_over_r", "R_over_r"]
     _write_text(cfg, _csv(header, rows))

@@ -26,8 +26,8 @@ Solution points of
     Phi(rho, lam) = F(rho, lam) - rho^2 - w lam^2 = 0
 
 are found at each grid ``lam`` by a coarse guard scan over ``rho``: every
-sign change of ``Phi`` across a guard panel is one root, and roots are
-linked into branches across ``lam`` by nearness.  Every root, the axis
+sign change of ``Phi`` across a guard panel is one root, numbered by its
+rank in ``rho`` at that ``lam``.  Every root, the axis
 crossing and the intercept included, is solved inside a sign-change
 bracket by ``_illinois`` (Dowell & Jarratt).  ``curve`` and ``threshold``
 both read ``certified_curve``.
@@ -55,6 +55,7 @@ from .geometry import (
 )
 
 DEFAULT_BISECT_TOL = 1e-10
+_ILLINOIS_MAX_ITER = 80
 CERTIFICATION_TOL = 1e-8
 
 #: Escalation cap for per-point certification refinement.
@@ -138,14 +139,6 @@ class CurvatureCurve:
 
     points: tuple[CurvePoint, ...]
 
-    def branches(self) -> dict[int, list[CurvePoint]]:
-        out: dict[int, list[CurvePoint]] = {}
-        for pt in self.points:
-            out.setdefault(pt.branch_id, []).append(pt)
-        for pts in out.values():
-            pts.sort(key=lambda p: (p.lam, p.rho))
-        return out
-
 
 @dataclass(frozen=True)
 class CertifiedCurve:
@@ -177,10 +170,11 @@ class PaperComparison:
 class ThresholdReport:
     """Endpoints and ratio bounds extracted from the certified curve.
 
-    ``ratio_extrema`` maps branch id to ``(inf, sup)`` of ``lam / rho`` over
-    the rows ``curve`` prints; ``nu_slope`` is the slope between the two
-    smallest-``lam`` hyperbolic points, so it depends on the grid.  Fields
-    are ``None`` when no root exists in the scan range.
+    ``ratio_extrema`` maps branch id (the root's rank in ``rho`` at its
+    ``lam``) to ``(inf, sup)`` of ``lam / rho`` over the rows ``curve``
+    prints; ``nu_slope`` is the slope between the two smallest-``lam``
+    rank-0 hyperbolic points, so it depends on the grid.  Fields are
+    ``None`` when no root exists in the scan range.
     """
 
     geometry: GeometryKind
@@ -376,7 +370,7 @@ def residual(
     return f - (rho * rho + problem.w * lam * lam)
 
 
-def _illinois(f, a, b, fa, fb, max_iter=80) -> float:
+def _illinois(f, a, b, fa, fb) -> float:
     """Bracketed scalar root by the Illinois variant of regula falsi.
 
     Stops once the bracket is ``DEFAULT_BISECT_TOL`` wide, relative to the
@@ -387,7 +381,7 @@ def _illinois(f, a, b, fa, fb, max_iter=80) -> float:
         return a
     if fb == 0.0:
         return b
-    for _ in range(max_iter):
+    for _ in range(_ILLINOIS_MAX_ITER):
         x = b - fb * (b - a) / (fb - fa)
         # keep strictly inside; fall back to bisection steps if stuck
         if not (min(a, b) < x < max(a, b)):
@@ -450,10 +444,9 @@ def trace_curve(
     every grid value in one call.  Each panel across which it changes sign,
     or whose lower node it vanishes at, holds one root, solved by
     ``_illinois`` from the row's values at the panel ends.  Points of one
-    ``lam`` are listed by rising ``rho``.  Roots are linked closest pair
-    first: a root continues the branch of the nearest root at the previous
-    ``lam`` that no closer pair has taken; a root left over starts a new
-    branch with the next id, from 0.
+    ``lam`` are listed by rising ``rho``, and a point's ``branch_id`` is its
+    rank there, from 0.  Sign scans over both geometries' weight ranges
+    find at most one root per ``lam``, so the curve is one graph, rank 0.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -467,8 +460,6 @@ def trace_curve(
 
     nodes = np.linspace(0.0, _RHO_MAX[problem.geometry], _GUARD_PANELS + 1)
     guard = residual(problem, nodes[None, :], grid[:, None], quad)
-    last: dict[int, float] = {}  # branch id -> its root at the previous lam
-    next_id = 0
     found: list[tuple[float, float, int]] = []
     for lam, row in zip(grid.tolist(), guard):
 
@@ -476,24 +467,11 @@ def trace_curve(
             return residual(problem, x, lam, quad)
 
         sign = np.sign(row)
-        roots = [
-            _illinois(phi, nodes[i], nodes[i + 1], row[i], row[i + 1])
-            for i in np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
-        ]
-        ids: dict[int, int] = {}  # root index -> branch id
-        for _, i, bid in sorted(
-            (abs(root - prev), i, bid)
-            for i, root in enumerate(roots)
-            for bid, prev in last.items()
-        ):
-            if i not in ids and bid not in ids.values():
-                ids[i] = bid
-        for i in range(len(roots)):
-            if i not in ids:
-                ids[i] = next_id
-                next_id += 1
-        last = {ids[i]: root for i, root in enumerate(roots)}
-        found.extend((lam, root, ids[i]) for i, root in enumerate(roots))
+        cross = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
+        found.extend(
+            (lam, _illinois(phi, nodes[i], nodes[i + 1], row[i], row[i + 1]), rank)
+            for rank, i in enumerate(cross)
+        )
 
     if not found:
         return CurvatureCurve(())
@@ -530,24 +508,24 @@ def _refine_scalar_root(f, x0: float, hi_cap: float) -> float | None:
     return None
 
 
-def _certify_root(phi, x: float, res: float | None, hi: float, n: int):
-    """Certify one root ``x`` of ``phi`` in ``[0, hi]``, escalating where needed.
+def _certify_root(phi, solve, x: float, res: float | None, n: int):
+    """Certify one root ``x`` of ``phi``, escalating where needed.
 
     ``phi(x, n)`` is the residual on ``QuadratureSpec(n)``; ``x`` was solved
     on ``n``, with residual ``res``.  The root certifies when its residual
-    on ``2n`` is within ``CERTIFICATION_TOL``; otherwise it is re-solved on
-    ``2n`` and checked again, up to ``MAX_CERTIFY_NODES`` or until no sign
-    change is left near ``x``.  Returns ``(x, res, cert, n)``.
+    on ``2n`` is within ``CERTIFICATION_TOL``; otherwise ``solve(f, x, 2n)``,
+    ``f`` the residual on ``2n``, re-solves it there and it is checked
+    again, up to ``MAX_CERTIFY_NODES`` or until ``solve`` returns None.
+    Returns ``(x, res, cert, n)``, ``n`` the rule ``x`` was solved on.
     """
     while True:
         cert = float(phi(x, 2 * n))
         if abs(cert) <= CERTIFICATION_TOL or n >= MAX_CERTIFY_NODES:
             return x, res, cert, n
-        n *= 2
-        refined = _refine_scalar_root(lambda y: phi(y, n), x, hi)
+        refined = solve(lambda y: phi(y, 2 * n), x, 2 * n)
         if refined is None:
             return x, res, cert, n
-        x = refined
+        x, n = refined, 2 * n
         res = float(phi(x, n))
 
 
@@ -556,11 +534,14 @@ def certify_curve(
     curve: CurvatureCurve,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> CertifiedCurve:
-    """Certify every traced point by ``_certify_root``, from ``quad`` up."""
+    """Certify every traced point by ``_certify_root``, from ``quad`` up,
+    re-solving by ``_refine_scalar_root`` near the point's last root."""
+    hi = _RHO_MAX[problem.geometry]
     done = [
         _certify_root(
             lambda x, n, lam=pt.lam: residual(problem, x, lam, QuadratureSpec(n)),
-            pt.rho, pt.residual, _RHO_MAX[problem.geometry], quad.nodes_per_axis,
+            lambda f, x, _: _refine_scalar_root(f, x, hi),
+            pt.rho, pt.residual, quad.nodes_per_axis,
         )
         for pt in curve.points
     ]
@@ -616,9 +597,12 @@ def certified_axis_crossing(
     lam_star = axis_crossing(problem, quad)
     if lam_star is None:
         return None
+    # escalation re-solves from axis_crossing's own bracket: a widening
+    # bracket around lam_star could reach lam = 0, where Phi(0, 0) = 0
     lam_star, _, cert, n = _certify_root(
         lambda x, n: residual(problem, 0.0, x, QuadratureSpec(n)),
-        lam_star, None, _LAMBDA_SCAN_MAX[problem.geometry], quad.nodes_per_axis,
+        lambda f, x, n: axis_crossing(problem, QuadratureSpec(n)),
+        lam_star, None, quad.nodes_per_axis,
     )
     return lam_star, cert, n
 
@@ -686,13 +670,9 @@ def extract_thresholds(
     ratio_extrema = {bid: (min(r), max(r)) for bid, r in ratios.items()}
 
     nu_slope = None
-    if problem.geometry is GeometryKind.HYPERBOLIC and curve.points:
-        branches = curve.branches()
-        first_bid = min(branches, key=lambda b: branches[b][0].lam)
-        pts = branches[first_bid]
-        if len(pts) >= 2:
-            p0, p1 = pts[0], pts[1]
-            nu_slope = (p1.rho - p0.rho) / (p1.lam - p0.lam)
+    lowest = [pt for pt in curve.points if pt.branch_id == 0][:2]
+    if problem.geometry is GeometryKind.HYPERBOLIC and len(lowest) == 2:
+        nu_slope = (lowest[1].rho - lowest[0].rho) / (lowest[1].lam - lowest[0].lam)
 
     paper_value = 0.64
     computed = min(

@@ -288,6 +288,21 @@ def test_threshold_extrema_are_the_certified_rows_through_escalation(tmp_path):
     assert payload["lambda_star"] == float([r for r in rows if not r[4]][0][0])
 
 
+def test_coarse_rule_curve_certifies_or_fails_loudly(tmp_path):
+    out = tmp_path / "curve.csv"
+    common = ["curve", "--out", str(out), "--quad-nodes", "16"]
+    # the axis crossing escalates to a certified lam* > 0: a full grid
+    assert run_cli([*common, "--geometry", "spherical", "--p", "0.001"]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 33 and float(rows[-1][0]) > 0.0
+    # the coarse guard misses grid roots below lam*: exit 1, not fewer rows
+    assert run_cli([*common, "--geometry", "hyperbolic", "--p", "0.01"]) == 1
+    # grid lam above lam* have no root by design
+    assert run_cli(
+        ["curve", "--out", str(out), "--geometry", "spherical", "--lambda-max", "3.0"]
+    ) == 0
+
+
 # ---------------------------------------------------------------------------
 # config file handling
 

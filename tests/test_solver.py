@@ -311,10 +311,30 @@ def test_trace_hyperbolic_small_step_endpoint_and_slope():
 
 def test_trace_branch_linking_is_stable():
     curve = trace_curve(SPH_W1, np.linspace(0.1, 0.6, 6))
-    branches = curve.branches()
-    assert list(branches) == [0]
-    rhos = [p.rho for p in branches[0]]
+    assert [p.branch_id for p in curve.points] == [0] * 6
+    rhos = [p.rho for p in curve.points]
     assert all(b < a for a, b in zip(rhos, rhos[1:]))  # monotone descent
+
+
+@pytest.mark.parametrize(
+    "geometry,weights", [(S, (1.0, 1.5, 1.95)), (H, (3.0, 2.5, 2.05))]
+)
+def test_one_root_per_lambda_below_the_axis_crossing(geometry, weights):
+    # branch_id is a root's rank at its lam, so one graph rho(lam) needs
+    # Phi to change sign once in rho below lam* and never above it
+    quad = QuadratureSpec(32)
+    hi = math.pi if geometry is S else RHO_CAP
+    rho = np.linspace(0.0, hi, 257)
+    lam = np.linspace(0.0, hi, 61)[1:]
+    for w in weights:
+        problem = CurvatureProblem(geometry, w)
+        lam_star = axis_crossing(problem, quad)
+        sign = np.sign(residual(problem, rho[None, :], lam[:, None], quad))
+        changes = np.count_nonzero(
+            (sign[:, :-1] == 0.0) | (sign[:, :-1] * sign[:, 1:] < 0.0), axis=1
+        )
+        assert np.all(changes[lam < 0.98 * lam_star] == 1)
+        assert np.all(changes[lam > 1.02 * lam_star] == 0)
 
 
 def dense_scan_roots(problem, grid):
@@ -364,7 +384,8 @@ def test_trace_is_empty_at_the_flat_weight(geometry):
 
 def test_guard_brackets_link_branches(monkeypatch):
     # synthetic Phi: a root on a guard node, a root moving with lam, and a
-    # root that appears below both at lam = 0.3
+    # root that appears below both at lam = 0.3; branch ids are the roots'
+    # ranks in rho at each lam
     on_node = np.linspace(0.0, math.pi, solver._GUARD_PANELS + 1)[20]
 
     def synthetic(problem, rho, lam, quad=QuadratureSpec()):
@@ -379,9 +400,22 @@ def test_guard_brackets_link_branches(monkeypatch):
     for lam, row in by_lam.items():
         assert [rho for rho, _ in row] == sorted(rho for rho, _ in row)
         assert [rho for rho, _ in row if rho == on_node] == [on_node]
-        ids = [0, 1] if lam < 0.3 else [2, 0, 1]
+        ids = [0, 1] if lam < 0.3 else [0, 1, 2]
         assert [bid for _, bid in row] == ids
         assert all(abs(synthetic(None, rho, lam)) <= 1e-9 for rho, _ in row)
+
+
+@pytest.mark.parametrize("problem", [SPH_W1, HYP_W3])
+def test_coarse_rule_escalates_to_the_default_curve(problem):
+    axis, grid, coarse = solver.certified_curve(problem, QuadratureSpec(32))
+    default_axis, default_grid, default = solver.certified_curve(problem)
+    assert set(coarse.nodes.tolist()) <= {64, 128}  # every point escalates
+    assert coarse.all_within()
+    assert axis[0] == default_axis[0]
+    assert grid.tolist() == default_grid.tolist()
+    rho = np.array([pt.rho for pt in coarse.curve.points])
+    ref = np.array([pt.rho for pt in default.curve.points])
+    assert np.max(np.abs(rho / ref - 1.0)) <= 1e-8
 
 
 def test_certified_residuals_smooth_region():
@@ -428,6 +462,22 @@ def test_axis_crossing_near_the_flat_weight(geometry, side, gap):
     lam_star, cert, _ = result
     assert abs(cert) <= 1e-8
     assert abs(lam_star / math.sqrt(6.0 * gap) - 1.0) <= gap
+
+
+def test_certify_root_reports_the_rule_of_the_returned_root():
+    # a re-solve on 2n that finds no root keeps the root solved on n
+    done = solver._certify_root(lambda x, n: 1.0, lambda f, x, n: None, 0.5, 0.0, 32)
+    assert done == (0.5, 0.0, 1.0, 32)
+
+
+@pytest.mark.parametrize("geometry,w", [(S, 1.999), (H, 2.01)])
+def test_coarse_axis_crossing_escalates_away_from_zero(geometry, w):
+    # a widening bracket around the coarse lam* reaches lam = 0, where
+    # Phi(0, 0) = 0; escalation must re-solve from axis_crossing instead
+    problem = CurvatureProblem(geometry, w)
+    coarse = certified_axis_crossing(problem, QuadratureSpec(16))[0]
+    assert coarse > 0.0
+    assert abs(coarse / certified_axis_crossing(problem)[0] - 1.0) <= 1e-6
 
 
 def test_default_lambda_min_stays_below_a_small_axis_crossing():
