@@ -9,16 +9,19 @@ Subcommands
 ``simulate``
     Multi-step ensemble; CSV columns ``step,mean_r2,meeting_fraction``.
 ``curve``
-    Traced solution curve of the curvature equation; CSV columns
-    ``lambda,rho,residual,branch_id,l_over_r,R_over_r`` where ``residual``
-    is the root's residual re-evaluated on a grid twice as fine as the
-    one it was solved on.  Exit 1 if any root fails certification or a
-    grid ``lambda`` below the axis crossing has no root.
+    Traced solution curve of the curvature equation, one root per grid
+    ``lambda``; CSV columns ``lambda,rho,residual,branch_id,l_over_r,R_over_r``
+    where ``residual`` is the root's residual re-evaluated on a grid twice
+    as fine as the one it was solved on and ``branch_id`` is always 0.
 ``threshold``
-    JSON report with endpoints, per-branch ratio bounds and the
-    comparison against the reference value 0.64.
+    JSON report with endpoints, ratio bounds and the comparison against
+    the reference value 0.64, read from the same certified curve.
+    ``curve`` and ``threshold`` share one exit rule,
+    ``CertifiedCurve.ok``: exit 1 if any root fails certification or a
+    grid ``lambda`` below the axis crossing has no root.
 ``verify``
-    Named self-checks spanning all layers; exit 0 only if all pass.
+    Named self-checks spanning all layers; exit 0 only if all pass.  Each
+    check's wall time goes to stderr.
 
 Each subcommand takes ``--seed``, ``--out`` and ``--config`` plus only
 the flags it reads (``_COMMANDS``); any other flag is a usage error.
@@ -38,6 +41,7 @@ import dataclasses
 import json
 import math
 import sys
+import time
 import typing
 
 import numpy as np
@@ -221,35 +225,26 @@ def cmd_curve(cfg: RunConfig) -> int:
 
     points = list(cert.curve.points)
     residuals = list(cert.certified)
-    # a grid lam below the axis crossing with no row is a root the guard missed
-    solved = {pt.lam for pt in points}
-    ok = axis is None or all(lam in solved for lam in grid.tolist() if lam < axis[0])
-
     # The curve meets the rho = 0 axis where F(0, lam) = w lam^2; append
-    # that endpoint (within the grid's reach) so the file records it.  It
-    # is the lowest root at its lam, so its rank is 0.
+    # that endpoint (within the grid's reach) so the file records it.
     if axis is not None and grid[0] <= axis[0]:
         lam_star, axis_cert, _ = axis
-        points.append(
-            solver.CurvePoint(lam=lam_star, rho=0.0, residual=axis_cert, branch_id=0)
-        )
+        points.append(solver.CurvePoint(lam=lam_star, rho=0.0, residual=axis_cert))
         residuals.append(axis_cert)
 
     images = solver.figure3_transform(solver.CurvatureCurve(tuple(points)))
     rows = []
     for pt, res, image in zip(points, residuals, images):
-        ok = ok and abs(res) <= solver.CERTIFICATION_TOL
         # an axis point has no finite ratio image: blank cells
         ratio_cells = (
             ["", ""] if image is None
             else [_fmt(image.l_over_r), _fmt(image.R_over_r)]
         )
-        rows.append(
-            [_fmt(pt.lam), _fmt(pt.rho), _fmt(res), str(pt.branch_id), *ratio_cells]
-        )
+        # the curve is one graph rho(lam): every row is branch 0
+        rows.append([_fmt(pt.lam), _fmt(pt.rho), _fmt(res), "0", *ratio_cells])
     header = ["lambda", "rho", "residual", "branch_id", "l_over_r", "R_over_r"]
     _write_text(cfg, _csv(header, rows))
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if cert.ok else EXIT_CHECK_FAILED
 
 
 def cmd_threshold(cfg: RunConfig) -> int:
@@ -258,30 +253,24 @@ def cmd_threshold(cfg: RunConfig) -> int:
     report = solver.extract_thresholds(
         problem, cfg.quadrature(), cfg.lambda_min, cfg.lambda_max, cfg.lambda_steps
     )
-    branches = [
-        {
-            "branch_id": bid,
-            "ratio_inf": extrema[0],
-            "ratio_sup": extrema[1],
-        }
-        for bid, extrema in sorted(report.ratio_extrema.items())
-    ]
-    ratio_infs = [b["ratio_inf"] for b in branches]
-    ratio_sups = [b["ratio_sup"] for b in branches]
+    ratio_inf, ratio_sup = report.ratio_extrema or (None, None)
     payload = {
         "geometry": report.geometry.value,
         "w": report.w,
         "lambda_star": report.lambda_star,
         "rho0": report.rho0,
-        "ratio_inf": min(ratio_infs) if ratio_infs else None,
-        "ratio_sup": max(ratio_sups) if ratio_sups else None,
+        "ratio_inf": ratio_inf,
+        "ratio_sup": ratio_sup,
         "nu_slope": report.nu_slope,
         "paper_value": report.paper_comparison.paper_value,
         "status": report.paper_comparison.status,
-        "branches": branches,
+        # the curve is one graph rho(lam): one branch, id 0
+        "branches": [] if report.ratio_extrema is None else [
+            {"branch_id": 0, "ratio_inf": ratio_inf, "ratio_sup": ratio_sup}
+        ],
     }
     _write_text(cfg, json.dumps(payload, indent=2) + "\n")
-    return EXIT_OK
+    return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +464,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     failures = 0
     lines = []
     for name, check in VERIFY_CHECKS:
+        start = time.perf_counter()
         ok, detail = check(cfg)
+        # timings vary run to run, so they stay off the byte-stable output
+        print(f"{name}: {time.perf_counter() - start:.3f} s", file=sys.stderr)
         failures += 0 if ok else 1
         lines.append(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     summary = "all checks passed" if failures == 0 else f"{failures} check(s) failed"

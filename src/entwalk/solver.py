@@ -25,12 +25,14 @@ Solution points of
 
     Phi(rho, lam) = F(rho, lam) - rho^2 - w lam^2 = 0
 
-are found at each grid ``lam`` by a coarse guard scan over ``rho``: every
-sign change of ``Phi`` across a guard panel is one root, numbered by its
-rank in ``rho`` at that ``lam``.  Every root, the axis
-crossing and the intercept included, is solved inside a sign-change
-bracket by ``_illinois`` (Dowell & Jarratt).  ``curve`` and ``threshold``
-both read ``certified_curve``.
+form one graph ``rho(lam)``: below the axis crossing ``Phi`` changes sign
+exactly once in ``rho`` at each ``lam``.  A coarse guard scan over ``rho``
+brackets that root; a ``lam`` whose scan changes sign more or less than
+once has no point.  Every root, the axis crossing and the intercept
+included, is solved inside a sign-change bracket by ``_illinois`` (Dowell
+& Jarratt); an escalating point is re-solved over its ``lam``'s whole
+``rho`` range.  ``curve`` and ``threshold`` both read ``certified_curve``
+and exit by its one verdict, ``CertifiedCurve.ok``.
 
 The small-step expansion ``F = rho^2 + lam^2 (1 + rho cot(rho)) + O(lam^4)``
 (``coth`` on the hyperboloid) serves as an independent analytic oracle;
@@ -39,6 +41,7 @@ the test suite re-derives it from quadrature fits before trusting it.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -130,7 +133,6 @@ class CurvePoint:
     lam: float
     rho: float
     residual: float
-    branch_id: int
 
 
 @dataclass(frozen=True)
@@ -146,15 +148,15 @@ class CertifiedCurve:
 
     ``certified[i]`` is the residual of ``curve.points[i]`` re-evaluated
     on twice the nodes the point was solved on; ``nodes[i]`` is that
-    solving resolution, ``QuadratureSpec.nodes_per_axis``.
+    solving resolution, ``QuadratureSpec.nodes_per_axis``.  ``ok`` is true
+    when every point certifies; from ``certified_curve`` it also needs a
+    certified axis crossing and a point at every grid ``lam`` below it.
     """
 
     curve: CurvatureCurve
     certified: np.ndarray
     nodes: np.ndarray
-
-    def all_within(self, tol: float = CERTIFICATION_TOL) -> bool:
-        return bool(np.all(np.abs(self.certified) <= tol))
+    ok: bool
 
 
 @dataclass(frozen=True)
@@ -170,27 +172,27 @@ class PaperComparison:
 class ThresholdReport:
     """Endpoints and ratio bounds extracted from the certified curve.
 
-    ``ratio_extrema`` maps branch id (the root's rank in ``rho`` at its
-    ``lam``) to ``(inf, sup)`` of ``lam / rho`` over the rows ``curve``
-    prints; ``nu_slope`` is the slope between the two smallest-``lam``
-    rank-0 hyperbolic points, so it depends on the grid.  Fields are
-    ``None`` when no root exists in the scan range.
+    ``ratio_extrema`` is ``(inf, sup)`` of ``lam / rho`` over the rows
+    ``curve`` prints; ``nu_slope`` is the slope between the two
+    smallest-``lam`` hyperbolic points, so it depends on the grid.  Fields
+    are ``None`` when no root exists in the scan range.  ``ok`` is the
+    curve's verdict, ``CertifiedCurve.ok``.
     """
 
     geometry: GeometryKind
     w: float
     lambda_star: float | None
     rho0: float | None
-    ratio_extrema: dict[int, tuple[float, float]]
+    ratio_extrema: tuple[float, float] | None
     nu_slope: float | None
     paper_comparison: PaperComparison
+    ok: bool
 
 
 @dataclass(frozen=True)
 class Figure3Point:
     l_over_r: float
     R_over_r: float
-    branch_id: int
 
 
 def _quad_mean(
@@ -441,12 +443,10 @@ def trace_curve(
     """Solution points ``rho(lam)`` over a strictly increasing ``lambda_grid``.
 
     The guard evaluates the residual on ``_GUARD_PANELS`` ``rho`` panels at
-    every grid value in one call.  Each panel across which it changes sign,
-    or whose lower node it vanishes at, holds one root, solved by
-    ``_illinois`` from the row's values at the panel ends.  Points of one
-    ``lam`` are listed by rising ``rho``, and a point's ``branch_id`` is its
-    rank there, from 0.  Sign scans over both geometries' weight ranges
-    find at most one root per ``lam``, so the curve is one graph, rank 0.
+    every grid value in one call.  A panel across which it changes sign,
+    or whose lower node it vanishes at, holds a root.  A ``lam`` with
+    exactly one such panel gets one point, solved by ``_illinois`` from
+    the row's values at the panel ends; any other ``lam`` gets none.
     """
     grid = np.asarray(lambda_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -460,52 +460,26 @@ def trace_curve(
 
     nodes = np.linspace(0.0, _RHO_MAX[problem.geometry], _GUARD_PANELS + 1)
     guard = residual(problem, nodes[None, :], grid[:, None], quad)
-    found: list[tuple[float, float, int]] = []
+    found: list[tuple[float, float]] = []
     for lam, row in zip(grid.tolist(), guard):
-
-        def phi(x, lam=lam):
-            return residual(problem, x, lam, quad)
-
         sign = np.sign(row)
         cross = np.flatnonzero((sign[:-1] == 0.0) | (sign[:-1] * sign[1:] < 0.0))
-        found.extend(
-            (lam, _illinois(phi, nodes[i], nodes[i + 1], row[i], row[i + 1]), rank)
-            for rank, i in enumerate(cross)
-        )
+        if cross.size == 1:
+            i = cross[0]
+            phi = functools.partial(residual, problem, lam=lam, quad=quad)
+            rho = _illinois(phi, nodes[i], nodes[i + 1], row[i], row[i + 1])
+            found.append((lam, rho))
 
     if not found:
         return CurvatureCurve(())
-    lam_arr, rho_arr, _ = (np.array(col) for col in zip(*found))
+    lam_arr, rho_arr = (np.array(col) for col in zip(*found))
     res = residual(problem, rho_arr, lam_arr, quad)
     return CurvatureCurve(
         tuple(
-            CurvePoint(lam=lam, rho=float(rho), residual=float(r), branch_id=bid)
-            for (lam, rho, bid), r in zip(found, res)
+            CurvePoint(lam=lam, rho=float(rho), residual=float(r))
+            for (lam, rho), r in zip(found, res)
         )
     )
-
-
-def _refine_scalar_root(f, x0: float, hi_cap: float) -> float | None:
-    """Root of ``f`` near ``x0`` in ``[0, hi_cap]`` by a widening bracket.
-
-    The bracket reaches ``1e-4 max(1, |x0|)`` to each side of ``x0`` and
-    widens eightfold, up to eight times, until ``f`` changes sign across
-    it; ``_illinois`` then solves inside it.  Returns None when no bracket
-    is found (a finer objective may have lost the root, e.g. at a
-    tangency).
-    """
-    half = 1e-4 * max(1.0, abs(x0))
-    for _ in range(8):
-        a = max(0.0, x0 - half)
-        b = min(hi_cap, x0 + half)
-        fa = float(f(a))
-        fb = float(f(b))
-        if fa == 0.0 or fb == 0.0 or (fa > 0) != (fb > 0):
-            return _illinois(f, a, b, fa, fb)
-        half *= 8.0
-        if a == 0.0 and b == hi_cap:
-            break
-    return None
 
 
 def _certify_root(phi, solve, x: float, res: float | None, n: int):
@@ -513,7 +487,7 @@ def _certify_root(phi, solve, x: float, res: float | None, n: int):
 
     ``phi(x, n)`` is the residual on ``QuadratureSpec(n)``; ``x`` was solved
     on ``n``, with residual ``res``.  The root certifies when its residual
-    on ``2n`` is within ``CERTIFICATION_TOL``; otherwise ``solve(f, x, 2n)``,
+    on ``2n`` is within ``CERTIFICATION_TOL``; otherwise ``solve(f, 2n)``,
     ``f`` the residual on ``2n``, re-solves it there and it is checked
     again, up to ``MAX_CERTIFY_NODES`` or until ``solve`` returns None.
     Returns ``(x, res, cert, n)``, ``n`` the rule ``x`` was solved on.
@@ -522,7 +496,7 @@ def _certify_root(phi, solve, x: float, res: float | None, n: int):
         cert = float(phi(x, 2 * n))
         if abs(cert) <= CERTIFICATION_TOL or n >= MAX_CERTIFY_NODES:
             return x, res, cert, n
-        refined = solve(lambda y: phi(y, 2 * n), x, 2 * n)
+        refined = solve(lambda y: phi(y, 2 * n), 2 * n)
         if refined is None:
             return x, res, cert, n
         x, n = refined, 2 * n
@@ -534,24 +508,37 @@ def certify_curve(
     curve: CurvatureCurve,
     quad: QuadratureSpec = QuadratureSpec(),
 ) -> CertifiedCurve:
-    """Certify every traced point by ``_certify_root``, from ``quad`` up,
-    re-solving by ``_refine_scalar_root`` near the point's last root."""
+    """Certify every traced point by ``_certify_root``, from ``quad`` up.
+
+    An escalating point is re-solved by ``_illinois`` over its ``lam``'s
+    whole range ``[0, rho_max]``, which holds its only root below the axis
+    crossing; the re-solve finds none when ``Phi`` has one sign at both
+    ends.  ``ok`` is true when every point certifies.
+    """
     hi = _RHO_MAX[problem.geometry]
+
+    def resolve(f, n):
+        fa, fb = f(0.0), f(hi)
+        if fa and fb and (fa > 0.0) == (fb > 0.0):
+            return None
+        return _illinois(f, 0.0, hi, fa, fb)
+
     done = [
         _certify_root(
             lambda x, n, lam=pt.lam: residual(problem, x, lam, QuadratureSpec(n)),
-            lambda f, x, _: _refine_scalar_root(f, x, hi),
-            pt.rho, pt.residual, quad.nodes_per_axis,
+            resolve, pt.rho, pt.residual, quad.nodes_per_axis,
         )
         for pt in curve.points
     ]
+    certified = np.array([cert for _, _, cert, _ in done])
     return CertifiedCurve(
         curve=CurvatureCurve(tuple(
-            CurvePoint(lam=pt.lam, rho=rho, residual=res, branch_id=pt.branch_id)
+            CurvePoint(lam=pt.lam, rho=rho, residual=res)
             for pt, (rho, res, _, _) in zip(curve.points, done)
         )),
-        certified=np.array([cert for _, _, cert, _ in done]),
+        certified=certified,
         nodes=np.array([n for *_, n in done], dtype=int),
+        ok=bool(np.all(np.abs(certified) <= CERTIFICATION_TOL)),
     )
 
 
@@ -597,11 +584,11 @@ def certified_axis_crossing(
     lam_star = axis_crossing(problem, quad)
     if lam_star is None:
         return None
-    # escalation re-solves from axis_crossing's own bracket: a widening
-    # bracket around lam_star could reach lam = 0, where Phi(0, 0) = 0
+    # escalation re-solves from axis_crossing's own bracket: a bracket
+    # reaching lam = 0 would find Phi(0, 0) = 0 there
     lam_star, _, cert, n = _certify_root(
         lambda x, n: residual(problem, 0.0, x, QuadratureSpec(n)),
-        lambda f, x, n: axis_crossing(problem, QuadratureSpec(n)),
+        lambda f, n: axis_crossing(problem, QuadratureSpec(n)),
         lam_star, None, quad.nodes_per_axis,
     )
     return lam_star, cert, n
@@ -636,13 +623,23 @@ def certified_curve(
     """The one certified curve behind ``curve``, ``threshold`` and ``verify``.
 
     Returns ``(certified_axis_crossing or None, make_lambda_grid grid,
-    the traced curve passed through certify_curve)``.
+    the traced curve passed through certify_curve)``.  The curve's ``ok``
+    is the verdict both commands exit by: every point and the axis
+    crossing certify, and every grid ``lam`` below the axis crossing has
+    its point.
     """
     axis = certified_axis_crossing(problem, quad)
     grid = make_lambda_grid(
         problem, axis[0] if axis else None, lambda_min, lambda_max, steps
     )
-    return axis, grid, certify_curve(problem, trace_curve(problem, grid, quad), quad)
+    cert = certify_curve(problem, trace_curve(problem, grid, quad), quad)
+    if axis is not None:
+        lam_star, axis_cert, _ = axis
+        solved = {pt.lam for pt in cert.curve.points}
+        covered = all(lam in solved for lam in grid.tolist() if lam < lam_star)
+        ok = cert.ok and covered and abs(axis_cert) <= CERTIFICATION_TOL
+        cert = dataclasses.replace(cert, ok=ok)
+    return axis, grid, cert
 
 
 def extract_thresholds(
@@ -656,35 +653,29 @@ def extract_thresholds(
 
     ``lambda_star`` is the certified axis crossing (``curve``'s axis row),
     ``rho0`` the small-step intercept from the series condition, and the
-    ``lam / rho`` extrema are taken per branch over ``certified_curve``'s
-    points, the rows ``curve`` prints.  The status is ``consistent`` when
-    some branch's infimum lies within +/-0.02 of 0.64, else ``discrepant``.
+    ``lam / rho`` extrema are taken over ``certified_curve``'s points, the
+    rows ``curve`` prints.  The status is ``consistent`` when the infimum
+    lies within +/-0.02 of 0.64, else ``discrepant``.
     """
     axis, _, cert = certified_curve(problem, quad, lambda_min, lambda_max, lambda_steps)
     curve = cert.curve
 
-    ratios: dict[int, list[float]] = {}
-    for image in figure3_transform(curve):
-        if image is not None:
-            ratios.setdefault(image.branch_id, []).append(image.l_over_r)
-    ratio_extrema = {bid: (min(r), max(r)) for bid, r in ratios.items()}
+    ratios = [image.l_over_r for image in figure3_transform(curve) if image is not None]
+    ratio_extrema = (min(ratios), max(ratios)) if ratios else None
 
     nu_slope = None
-    lowest = [pt for pt in curve.points if pt.branch_id == 0][:2]
+    lowest = curve.points[:2]
     if problem.geometry is GeometryKind.HYPERBOLIC and len(lowest) == 2:
         nu_slope = (lowest[1].rho - lowest[0].rho) / (lowest[1].lam - lowest[0].lam)
 
     paper_value = 0.64
-    computed = min(
-        (inf for inf, _ in ratio_extrema.values()),
-        key=lambda v: abs(v - paper_value),
-        default=None,
-    )
+    computed = ratio_extrema[0] if ratio_extrema else None
     close = computed is not None and abs(computed - paper_value) <= 0.02
     return ThresholdReport(
         problem.geometry, problem.w, axis[0] if axis is not None else None,
         _series_intercept(problem), ratio_extrema, nu_slope,
         PaperComparison("consistent" if close else "discrepant", paper_value, computed),
+        cert.ok,
     )
 
 
@@ -695,9 +686,7 @@ def figure3_transform(curve: CurvatureCurve) -> tuple[Figure3Point | None, ...]:
     axis have no finite image and map to ``None``.
     """
     return tuple(
-        Figure3Point(
-            l_over_r=pt.lam / pt.rho, R_over_r=1.0 / pt.rho, branch_id=pt.branch_id
-        )
+        Figure3Point(l_over_r=pt.lam / pt.rho, R_over_r=1.0 / pt.rho)
         if pt.rho > 0.0
         else None
         for pt in curve.points

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import entwalk.walk
-from entwalk.cli import RunConfig, _build_config, build_parser, main
+from entwalk.cli import VERIFY_CHECKS, RunConfig, _build_config, build_parser, main
 
 
 def run_cli(argv):
@@ -295,8 +295,11 @@ def test_coarse_rule_curve_certifies_or_fails_loudly(tmp_path):
     assert run_cli([*common, "--geometry", "spherical", "--p", "0.001"]) == 0
     _, rows = read_csv(out)
     assert len(rows) == 33 and float(rows[-1][0]) > 0.0
-    # the coarse guard misses grid roots below lam*: exit 1, not fewer rows
-    assert run_cli([*common, "--geometry", "hyperbolic", "--p", "0.01"]) == 1
+    # the coarse guard misses grid roots below lam*: exit 1, not fewer rows,
+    # and threshold, reading the same curve, exits by the same rule
+    for command in ("curve", "threshold"):
+        assert run_cli([command, "--out", str(out), "--quad-nodes", "16",
+                        "--geometry", "hyperbolic", "--p", "0.01"]) == 1
     # grid lam above lam* have no root by design
     assert run_cli(
         ["curve", "--out", str(out), "--geometry", "spherical", "--lambda-max", "3.0"]
@@ -384,6 +387,21 @@ def test_verify_default_passes(tmp_path, capsys):
     ):
         assert f"PASS {name}" in captured
     assert "all checks passed" in captured
+
+
+def test_verify_times_each_check_on_stderr(capsys):
+    # wall times differ run to run, so they go to stderr and stdout keeps its bytes
+    runs = []
+    for _ in range(2):
+        code = run_cli(["verify", "--samples", "50000"])
+        runs.append((code, capsys.readouterr()))
+    (code0, first), (code1, second) = runs
+    assert code0 == code1 and first.out == second.out
+    assert " s\n" not in first.out
+    for captured in (first, second):
+        lines = captured.err.splitlines()
+        assert [line.split(": ")[0] for line in lines] == [n for n, _ in VERIFY_CHECKS]
+        assert all(line.endswith(" s") for line in lines)
 
 
 def test_verify_detects_a_direction_table_off_by_a_few_ulps(capsys, monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entwalk import solver
+from entwalk.cli import main
 from entwalk.geometry import RHO_CAP, TWO_PI, GeometryKind, closed_form_distances
 from entwalk.solver import (
     DEFAULT_LAMBDA_STEPS,
@@ -298,7 +299,9 @@ def test_trace_spherical_small_step_endpoint():
     assert first.lam == 0.02
     assert abs(first.rho - math.pi / 2) < 1e-3
     assert all(abs(p.residual) < 1e-9 for p in curve.points)
-    assert len({p.branch_id for p in curve.points}) == 1
+    assert [p.lam for p in curve.points] == [0.02, 0.06, 0.1]  # one point per lam
+    rhos = [p.rho for p in curve.points]
+    assert all(b < a for a, b in zip(rhos, rhos[1:]))
 
 
 def test_trace_hyperbolic_small_step_endpoint_and_slope():
@@ -310,8 +313,9 @@ def test_trace_hyperbolic_small_step_endpoint_and_slope():
 
 
 def test_trace_branch_linking_is_stable():
-    curve = trace_curve(SPH_W1, np.linspace(0.1, 0.6, 6))
-    assert [p.branch_id for p in curve.points] == [0] * 6
+    grid = np.linspace(0.1, 0.6, 6)
+    curve = trace_curve(SPH_W1, grid)
+    assert [p.lam for p in curve.points] == grid.tolist()  # one point per lam
     rhos = [p.rho for p in curve.points]
     assert all(b < a for a, b in zip(rhos, rhos[1:]))  # monotone descent
 
@@ -320,8 +324,9 @@ def test_trace_branch_linking_is_stable():
     "geometry,weights", [(S, (1.0, 1.5, 1.95)), (H, (3.0, 2.5, 2.05))]
 )
 def test_one_root_per_lambda_below_the_axis_crossing(geometry, weights):
-    # branch_id is a root's rank at its lam, so one graph rho(lam) needs
-    # Phi to change sign once in rho below lam* and never above it
+    # trace_curve keeps a lam whose guard row changes sign once, and an
+    # escalating point is re-solved over [0, rho_max]: one graph rho(lam)
+    # needs Phi to change sign once in rho below lam* and never above it
     quad = QuadratureSpec(32)
     hi = math.pi if geometry is S else RHO_CAP
     rho = np.linspace(0.0, hi, 257)
@@ -369,7 +374,7 @@ def test_continued_roots_match_a_dense_scan(geometry, protocol, p, lambda_min):
     lam, rho = dense_scan_roots(problem, grid)
     assert [pt.lam for pt in curve.points] == lam.tolist()
     assert np.max(np.abs(np.array([pt.rho for pt in curve.points]) - rho)) <= 1e-9
-    assert {pt.branch_id for pt in curve.points} == {0}
+    assert len(set(lam.tolist())) == lam.size  # the dense scan: one root per lam
 
 
 @pytest.mark.parametrize("geometry", [S, H])
@@ -382,27 +387,29 @@ def test_trace_is_empty_at_the_flat_weight(geometry):
     assert trace_curve(problem, grid).points == ()
 
 
-def test_guard_brackets_link_branches(monkeypatch):
-    # synthetic Phi: a root on a guard node, a root moving with lam, and a
-    # root that appears below both at lam = 0.3; branch ids are the roots'
-    # ranks in rho at each lam
+def test_two_sign_changes_at_one_lambda_give_no_row_and_exit_1(monkeypatch):
+    # synthetic Phi: a root that starts on a guard node and falls with lam
+    # to the axis at lam* = on_node + 0.1, and a second root at rho = 0.5
+    # near lam = 0.3 only; that lam has no row, so both commands exit 1
     on_node = np.linspace(0.0, math.pi, solver._GUARD_PANELS + 1)[20]
 
     def synthetic(problem, rho, lam, quad=QuadratureSpec()):
-        late = np.where(np.asarray(lam) >= 0.3, 0.5, 4.0)
-        return (rho - on_node) * (rho - 1.8 - lam) * (rho - late)
+        second = np.where(np.abs(np.asarray(lam) - 0.3) < 0.05, 0.5, 4.0)
+        return (rho - on_node + (lam - 0.1)) * (rho - second)
 
     monkeypatch.setattr(solver, "residual", synthetic)
     grid = np.linspace(0.1, 0.5, 5)
     pts = trace_curve(SPH_W1, grid).points
-    by_lam = {lam: [(pt.rho, pt.branch_id) for pt in pts if pt.lam == lam]
-              for lam in grid.tolist()}
-    for lam, row in by_lam.items():
-        assert [rho for rho, _ in row] == sorted(rho for rho, _ in row)
-        assert [rho for rho, _ in row if rho == on_node] == [on_node]
-        ids = [0, 1] if lam < 0.3 else [0, 1, 2]
-        assert [bid for _, bid in row] == ids
-        assert all(abs(synthetic(None, rho, lam)) <= 1e-9 for rho, _ in row)
+    assert [pt.lam for pt in pts] == [grid[0], grid[1], grid[3], grid[4]]
+    assert pts[0].rho == on_node
+    assert all(abs(synthetic(None, pt.rho, pt.lam)) <= 1e-9 for pt in pts)
+    axis, _, cert = solver.certified_curve(SPH_W1, lambda_min=0.1, lambda_max=0.5,
+                                           steps=5)
+    assert axis[0] == pytest.approx(on_node + 0.1, abs=1e-9)
+    assert np.all(np.abs(cert.certified) <= 1e-8) and not cert.ok
+    for command in ("curve", "threshold"):
+        assert main([command, "--lambda-min", "0.1", "--lambda-max", "0.5",
+                     "--lambda-steps", "5"]) == 1
 
 
 @pytest.mark.parametrize("problem", [SPH_W1, HYP_W3])
@@ -410,7 +417,7 @@ def test_coarse_rule_escalates_to_the_default_curve(problem):
     axis, grid, coarse = solver.certified_curve(problem, QuadratureSpec(32))
     default_axis, default_grid, default = solver.certified_curve(problem)
     assert set(coarse.nodes.tolist()) <= {64, 128}  # every point escalates
-    assert coarse.all_within()
+    assert coarse.ok
     assert axis[0] == default_axis[0]
     assert grid.tolist() == default_grid.tolist()
     rho = np.array([pt.rho for pt in coarse.curve.points])
@@ -432,7 +439,7 @@ def test_certify_curve_needs_no_escalation_at_the_crease():
     assert curve.points[0].rho + 2.0 > math.pi
     certified = certify_curve(SPH_W1, curve)
     assert certified.nodes.tolist() == [128]
-    assert certified.all_within(1e-8)
+    assert certified.ok
     pt = certified.curve.points[0]
     trapezoid = solver._quad_mean(S, np.array([pt.rho]), np.array([pt.lam]), 2048)
     assert abs(trapezoid[0] - pt.rho**2 - SPH_W1.w * pt.lam**2) <= 1e-8
@@ -466,7 +473,7 @@ def test_axis_crossing_near_the_flat_weight(geometry, side, gap):
 
 def test_certify_root_reports_the_rule_of_the_returned_root():
     # a re-solve on 2n that finds no root keeps the root solved on n
-    done = solver._certify_root(lambda x, n: 1.0, lambda f, x, n: None, 0.5, 0.0, 32)
+    done = solver._certify_root(lambda x, n: 1.0, lambda f, n: None, 0.5, 0.0, 32)
     assert done == (0.5, 0.0, 1.0, 32)
 
 
@@ -507,8 +514,8 @@ def test_extract_thresholds_spherical():
     assert report.nu_slope is None
     assert report.paper_comparison.paper_value == 0.64
     assert report.paper_comparison.status in ("consistent", "discrepant")
-    assert 0 in report.ratio_extrema
-    lo, hi = report.ratio_extrema[0]
+    assert report.ok
+    lo, hi = report.ratio_extrema
     assert 0.0 < lo <= hi
 
 
@@ -553,9 +560,9 @@ def test_rho0_absent_at_flat_weight():
 def test_figure3_pointwise_values():
     curve = CurvatureCurve(
         (
-            CurvePoint(lam=0.5, rho=1.0, residual=0.0, branch_id=0),
-            CurvePoint(lam=1.0, rho=0.5, residual=0.0, branch_id=0),
-            CurvePoint(lam=1.7, rho=0.0, residual=0.0, branch_id=0),
+            CurvePoint(lam=0.5, rho=1.0, residual=0.0),
+            CurvePoint(lam=1.0, rho=0.5, residual=0.0),
+            CurvePoint(lam=1.7, rho=0.0, residual=0.0),
         )
     )
     images = figure3_transform(curve)
@@ -576,7 +583,7 @@ def test_figure3_pointwise_values():
     rho=st.floats(min_value=1e-3, max_value=3.0),
 )
 def test_figure3_algebraic_identity(lam, rho):
-    curve = CurvatureCurve((CurvePoint(lam, rho, 0.0, 0),))
+    curve = CurvatureCurve((CurvePoint(lam, rho, 0.0),))
     pt = figure3_transform(curve)[0]
     assert pt.R_over_r * rho == pytest.approx(1.0, abs=1e-12)
     assert pt.R_over_r == pytest.approx(pt.l_over_r / lam, rel=1e-12)

@@ -256,6 +256,23 @@ def test_ensemble_single_step_matches_analytic():
     assert abs(res.mean_r2[1] - target) < 0.006
 
 
+@pytest.mark.parametrize("kind", list(Protocol))
+def test_ensemble_spread_matches_the_exact_law(kind):
+    # increments are i.i.d. and isotropic with m2 = E L^2 = w l^2 and
+    # m4 = E L^4 = (6 -+ 4p) l^4 (minus for plus, plus for minus), so
+    # Var r_t^2 = 2 m2 r0^2 t + m2^2 t (t - 2) + m4 t
+    r0, l, n = 1.0, 0.5, 20_000
+    proto = ProtocolSpec(kind, 1.0)
+    p = proto.effective_p
+    m2 = weight(kind, p) * l * l
+    m4 = (6.0 + {Protocol.PLUS: -4.0, Protocol.MINUS: 4.0}.get(kind, 0.0) * p) * l**4
+    res = run_ensemble(WalkState((0, 0), (r0, 0), l), proto, 100, n, 0.0, seed=0)
+    for t in (1, 10, 100):
+        sigma = math.sqrt(2 * m2 * r0 * r0 * t + m2 * m2 * t * (t - 2) + m4 * t)
+        assert abs(res.mean_r2[t] - (r0 * r0 + t * m2)) <= 4.0 * sigma / math.sqrt(n)
+        assert abs(res.stderr_r2[t] * math.sqrt(n) / sigma - 1.0) <= 0.05
+
+
 def test_ensemble_zero_steps_returns_initial_row():
     res = run_ensemble(WalkState((0, 0), (1.0, 0), 0.5),
                        ProtocolSpec(Protocol.PLUS), 0, 1, 0.05, seed=3)
