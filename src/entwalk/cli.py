@@ -167,6 +167,15 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _z_score(value: float, expected: float, stderr: float) -> float:
+    """``(value - expected) / stderr``, or nan when ``stderr`` is not positive.
+
+    Checks pass on ``abs(z) <= bound`` and keep the worst ``z`` with
+    ``np.maximum``, so a nan ``z`` fails them instead of being skipped.
+    """
+    return (value - expected) / stderr if stderr > 0.0 else math.nan
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -188,8 +197,8 @@ def cmd_msd(cfg: RunConfig) -> int:
         proto = cfg.protocol_spec(name)
         analytic = walk.expected_sq_separation(cfg.r, cfg.l, proto)
         mean, stderr = walk.mc_sq_separation(cfg.r, cfg.l, proto, cfg.samples, rng)
-        z = (mean - analytic) / stderr
-        worst = max(worst, abs(z))
+        z = _z_score(mean, analytic, stderr)
+        worst = np.maximum(worst, abs(z))
         values = (proto.effective_p, cfg.r, cfg.l, analytic, mean, stderr)
         rows.append([name, *map(_fmt, values), str(cfg.samples), _fmt(z)])
     header = "protocol,p,r,l,analytic,mc_mean,mc_stderr,n_samples,z_score"
@@ -324,7 +333,7 @@ def _check_msd(cfg: RunConfig) -> tuple[bool, str]:
         proto = cfg.protocol_spec(name)
         analytic = walk.expected_sq_separation(cfg.r, cfg.l, proto)
         mean, stderr = walk.mc_sq_separation(cfg.r, cfg.l, proto, cfg.samples, rng)
-        worst = max(worst, abs(mean - analytic) / stderr)
+        worst = np.maximum(worst, abs(_z_score(mean, analytic, stderr)))
     return worst <= _VERIFY_Z_BOUND, (
         f"max |z| = {worst:.2f} (bound {_VERIFY_Z_BOUND})"
     )
@@ -346,7 +355,8 @@ def _check_ensemble(cfg: RunConfig) -> tuple[bool, str]:
                                 seed=cfg.seed)
         w = walk.weight(proto.kind, proto.effective_p)
         analytic = cfg.r * cfg.r + t * w * cfg.l * cfg.l
-        worst = max(worst, abs(res.mean_r2[t] - analytic) / res.stderr_r2[t])
+        z = _z_score(res.mean_r2[t], analytic, res.stderr_r2[t])
+        worst = np.maximum(worst, abs(z))
     return worst <= _VERIFY_Z_BOUND, (
         f"step {t} max |z| = {worst:.2f} (bound {_VERIFY_Z_BOUND})"
     )

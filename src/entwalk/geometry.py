@@ -2,24 +2,28 @@
 
 Everything is phrased in units of the curvature radius: ``rho`` is the
 scaled separation, ``lam`` the scaled step length, and each agent's step
-direction is set by an azimuth in its own tangent frame.
+direction is set by an azimuth in its own tangent frame.  The two
+surfaces differ only in the sign ``k`` of their curvature.  One frozen
+record per geometry, ``CURVATURE[kind]``, holds what that sign decides
+(``Curvature``); only the inverse of the distance law (``arccos`` or
+``arccosh``) and the sphere's crease split stay per geometry.
 
 Two independent computation routes are provided:
 
 * an explicit construction -- embed the two agents, build orthonormal
   tangent frames sharing their first vector, move each agent along the
-  geodesic selected by its azimuth (a rotation about an axis through the
-  sphere's center, or the hyperbolic flow ``e cosh(lam) + t sinh(lam)``),
-  then read off the new geodesic separation from the inner product;
+  geodesic its azimuth selects, one flow for both surfaces:
+  ``e cn(lam) + (e1 sin(phi) - e2 cos(phi)) sn(lam)``; then read off the
+  new separation from ``cn(d) = <a', b'>_J``;
 * the closed-form step law, written once in half-angle form
   (``_step_distance``), which also covers the degenerate ``rho = 0``
   configuration the construction refuses.  ``closed_form_distances``
   evaluates it at given azimuths and the solver's folded trapezoid on its
   quadrature nodes.
 
-The hyperboloid lives in Minkowski 3-space with signature ``(+, -, -)``:
-points satisfy ``<e, e> = 1`` on the upper sheet, unit tangents satisfy
-``<t, t> = -1``, and ``cosh(distance) = <e_a, e_b>``.
+Points satisfy ``<e, e>_J = 1`` and unit tangents ``<t, t>_J = k``, with
+``J = (1, 1, 1)`` on the sphere and the Minkowski signature ``(1, -1, -1)``
+on the hyperboloid's upper sheet.
 
 Frame conventions are pinned so the two routes agree to machine
 precision configuration by configuration, not merely on average: the
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,23 +52,58 @@ RHO_CAP = 20.0
 #: excursions indicate a genuine numerical bug and raise.
 ARG_SLACK = 1e-12
 
-_MINKOWSKI_FLIP = np.array([1.0, -1.0, -1.0])
-
 
 class GeometryKind(enum.Enum):
     SPHERICAL = "spherical"
     HYPERBOLIC = "hyperbolic"
 
 
+@dataclass(frozen=True, eq=False)
+class Curvature:
+    """What the sign ``k`` of the curvature decides for one geometry.
+
+    Besides ``sn``, ``cn``, ``tn`` and the metric ``J``: the domain caps,
+    whether ``rho_max`` is an antipode, the solver's root-scan cap, the
+    ``lam`` grid floor and the ``[lo, hi]`` range of paired weights.
+    """
+
+    k: float
+    sn: np.ufunc
+    cn: np.ufunc
+    tn: np.ufunc
+    metric: np.ndarray
+    rho_max: float
+    lam_max: float
+    antipodal: bool
+    scan_max: float
+    lam_floor: float
+    weights: tuple[float, float]
+
+    def dot(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Inner product ``<x, y>_J`` over the last axis."""
+        return np.sum(self.metric * x * y, axis=-1)
+
+
+CURVATURE = {
+    GeometryKind.SPHERICAL: Curvature(
+        k=1.0, sn=np.sin, cn=np.cos, tn=np.tan, metric=np.array([1.0, 1.0, 1.0]),
+        rho_max=math.pi, lam_max=math.inf, antipodal=True,
+        scan_max=math.pi, lam_floor=0.02, weights=(1.0, 2.0),
+    ),
+    GeometryKind.HYPERBOLIC: Curvature(
+        k=-1.0, sn=np.sinh, cn=np.cosh, tn=np.tanh, metric=np.array([1.0, -1.0, -1.0]),
+        rho_max=RHO_CAP, lam_max=RHO_CAP, antipodal=False,
+        scan_max=10.0, lam_floor=0.05, weights=(2.0, 3.0),
+    ),
+}
+
+
 class DegenerateConfigurationError(ValueError):
     """Separation at which the tangent frames are undefined."""
 
 
-def minkowski_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Inner product with signature (+, -, -) over the last axis."""
-    return (
-        x[..., 0] * y[..., 0] - x[..., 1] * y[..., 1] - x[..., 2] * y[..., 2]
-    )
+#: Inner product with signature (+, -, -) over the last axis.
+minkowski_dot = CURVATURE[GeometryKind.HYPERBOLIC].dot
 
 
 def arccosh_from_excess(w: np.ndarray) -> np.ndarray:
@@ -82,69 +122,41 @@ def _extent(x) -> tuple:
 
 def _check_domain(geometry: GeometryKind, rho, lam) -> None:
     """Raise unless ``rho`` and ``lam`` (floats or arrays) lie in the domain."""
+    c = CURVATURE[geometry]
     rho_lo, rho_hi = _extent(rho)
     lam_lo, lam_hi = _extent(lam)
     if rho_lo < 0.0 or lam_lo < 0.0:
         raise ValueError("rho and lam must be nonnegative")
-    if geometry is GeometryKind.SPHERICAL:
-        if rho_hi > math.pi:
-            raise ValueError("spherical separations cannot exceed pi")
-    elif rho_hi > RHO_CAP or lam_hi > RHO_CAP:
-        raise ValueError(f"hyperbolic rho and lam are capped at {RHO_CAP}")
+    if rho_hi > c.rho_max or lam_hi > c.lam_max:
+        raise ValueError(
+            f"{geometry.value} rho is capped at {c.rho_max:g} and lam at {c.lam_max:g}"
+        )
 
 
 def _check_nondegenerate(rho: np.ndarray, geometry: GeometryKind) -> None:
-    if np.any(rho <= 0.0):
+    c = CURVATURE[geometry]
+    if np.any(rho <= 0.0) or (c.antipodal and np.any(rho >= c.rho_max)):
         raise DegenerateConfigurationError(
-            "coincident agents: tangent frames are undefined at rho = 0"
+            "coincident or antipodal agents: tangent frames are undefined"
         )
-    if geometry is GeometryKind.SPHERICAL and np.any(rho >= math.pi):
-        raise DegenerateConfigurationError(
-            "antipodal agents: tangent frames are undefined at rho = pi"
-        )
-
-
-def _embedded_pair(
-    rho: np.ndarray, geometry: GeometryKind
-) -> tuple[np.ndarray, np.ndarray]:
-    """Place the agents symmetrically about the x-axis at separation rho."""
-    half = 0.5 * np.asarray(rho, dtype=float)
-    zeros = np.zeros_like(half)
-    if geometry is GeometryKind.SPHERICAL:
-        e_a = np.stack([np.cos(half), np.sin(half), zeros], axis=-1)
-        e_b = np.stack([np.cos(half), -np.sin(half), zeros], axis=-1)
-    else:
-        e_a = np.stack([np.cosh(half), np.sinh(half), zeros], axis=-1)
-        e_b = np.stack([np.cosh(half), -np.sinh(half), zeros], axis=-1)
-    return e_a, e_b
 
 
 def _frame_vectors(
     rho: np.ndarray, geometry: GeometryKind
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Embedded points plus (e1, e2a, e2b); rho must be non-degenerate."""
-    e_a, e_b = _embedded_pair(rho, geometry)
-    if geometry is GeometryKind.SPHERICAL:
-        raw = np.cross(e_b, e_a)
-        norm = np.linalg.norm(raw, axis=-1, keepdims=True)
-        e1 = raw / norm
-        e2a = np.cross(e_a, e1)
-        e2b = np.cross(e_b, e1)
-    else:
-        raw = _MINKOWSKI_FLIP * np.cross(e_a, e_b)
-        norm = np.sqrt(-minkowski_dot(raw, raw))[..., None]
-        e1 = raw / norm
-        e2a = _MINKOWSKI_FLIP * np.cross(e1, e_a)
-        e2b = _MINKOWSKI_FLIP * np.cross(e1, e_b)
-    return e_a, e_b, e1, e2a, e2b
+    """Embedded points plus (e1, e2a, e2b); rho must be non-degenerate.
 
-
-def _rotate_about(v: np.ndarray, axis: np.ndarray, angle: np.ndarray) -> np.ndarray:
-    """Rodrigues rotation of ``v`` about the unit vector ``axis``."""
-    c = np.cos(angle)[..., None]
-    s = np.sin(angle)[..., None]
-    axial = np.sum(axis * v, axis=-1, keepdims=True)
-    return v * c + np.cross(axis, v) * s + axis * axial * (1.0 - c)
+    ``e1 = -k J(e_a x e_b) / sqrt(k <raw, raw>_J)`` and ``e2 = -k J(e1 x e)``.
+    """
+    c = CURVATURE[geometry]
+    half = 0.5 * np.asarray(rho, dtype=float)
+    zeros = np.zeros_like(half)
+    e_a = np.stack([c.cn(half), c.sn(half), zeros], axis=-1)
+    e_b = np.stack([c.cn(half), -c.sn(half), zeros], axis=-1)
+    flip = -c.k * c.metric
+    raw = flip * np.cross(e_a, e_b)
+    e1 = raw / np.sqrt(c.k * c.dot(raw, raw))[..., None]
+    return e_a, e_b, e1, flip * np.cross(e1, e_a), flip * np.cross(e1, e_b)
 
 
 def _invert_cos(x: np.ndarray) -> np.ndarray:
@@ -171,6 +183,11 @@ def _invert_cosh(x: np.ndarray, scale: np.ndarray) -> np.ndarray:
     return arccosh_from_excess(np.maximum(x - 1.0, 0.0))
 
 
+def _invert(c: Curvature, x: np.ndarray, scale) -> np.ndarray:
+    """The distance whose ``cn`` is ``x``; ``scale`` sizes arccosh's slack."""
+    return _invert_cos(x) if c.k > 0.0 else _invert_cosh(x, scale)
+
+
 def construction_distances(
     geometry: GeometryKind,
     rho: np.ndarray,
@@ -178,31 +195,21 @@ def construction_distances(
     phi_a: np.ndarray,
     phi_b: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized frame-and-rotation route to the post-step separation."""
+    """Vectorized frame-and-flow route to the post-step separation."""
     rho, lam, phi_a, phi_b = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (rho, lam, phi_a, phi_b))
     )
     _check_domain(geometry, rho, lam)
     _check_nondegenerate(rho, geometry)
+    c = CURVATURE[geometry]
     e_a, e_b, e1, e2a, e2b = _frame_vectors(rho, geometry)
-    cos_a = np.cos(phi_a)[..., None]
-    sin_a = np.sin(phi_a)[..., None]
-    cos_b = np.cos(phi_b)[..., None]
-    sin_b = np.sin(phi_b)[..., None]
-    if geometry is GeometryKind.SPHERICAL:
-        axis_a = e1 * cos_a + e2a * sin_a
-        axis_b = e1 * cos_b + e2b * sin_b
-        moved_a = _rotate_about(e_a, axis_a, lam)
-        moved_b = _rotate_about(e_b, axis_b, lam)
-        return _invert_cos(np.sum(moved_a * moved_b, axis=-1))
-    tangent_a = e1 * sin_a - e2a * cos_a
-    tangent_b = e1 * sin_b - e2b * cos_b
-    ch = np.cosh(lam)[..., None]
-    sh = np.sinh(lam)[..., None]
-    moved_a = e_a * ch + tangent_a * sh
-    moved_b = e_b * ch + tangent_b * sh
-    scale = np.cosh(rho) * np.cosh(lam) ** 2
-    return _invert_cosh(minkowski_dot(moved_a, moved_b), scale)
+    cl = c.cn(lam)[..., None]
+    sl = c.sn(lam)[..., None]
+    moved = [
+        e * cl + (e1 * np.sin(phi)[..., None] - e2 * np.cos(phi)[..., None]) * sl
+        for e, e2, phi in ((e_a, e2a, phi_a), (e_b, e2b, phi_b))
+    ]
+    return _invert(c, c.dot(*moved), c.cn(rho) * c.cn(lam) ** 2)
 
 
 def _step_distance(
@@ -214,26 +221,19 @@ def _step_distance(
 ) -> np.ndarray:
     """Post-step separation by the half-angle step law (broadcasting).
 
-        cos d = C - G [(C + 1) u^2 + (C - 1) v^2] + X u v
+        cn d = C - G [(C + 1) u^2 + (C - 1) v^2] + X u v
         u = sin((phi_a - phi_b) / 2),  v = sin((phi_a + phi_b) / 2)
 
-    with ``C = cos rho``, ``G = sin^2 lam``, ``X = 2 sin rho cos lam sin lam``
-    on the sphere, and ``C = cosh rho``, ``G = -sinh^2 lam``,
-    ``X = -2 sinh rho cosh lam sinh lam`` (giving ``cosh d``) on the
-    hyperboloid.  In this form distance 0 and the antipode come out exact;
+    with ``C = cn rho``, ``G = k sn^2 lam`` and ``X = 2 k sn rho cn lam
+    sn lam``.  In this form distance 0 and the antipode come out exact;
     a sum of cosine products can land an ulp off at ``d = pi``, which
     arccos turns into an error of ~1e-8 in ``d``.
     """
-    if geometry is GeometryKind.SPHERICAL:
-        c, s, cl, sl = np.cos(rho), np.sin(rho), np.cos(lam), np.sin(lam)
-        g, cross = sl * sl, 2.0 * s * cl * sl
-    else:
-        c, s, cl, sl = np.cosh(rho), np.sinh(rho), np.cosh(lam), np.sinh(lam)
-        g, cross = -(sl * sl), -2.0 * s * cl * sl
-    x = c - g * ((c + 1.0) * u * u + (c - 1.0) * v * v) + cross * u * v
-    if geometry is GeometryKind.SPHERICAL:
-        return _invert_cos(x)
-    return _invert_cosh(x, c * cl * cl)
+    c = CURVATURE[geometry]
+    cr, s, cl, sl = c.cn(rho), c.sn(rho), c.cn(lam), c.sn(lam)
+    g, cross = c.k * (sl * sl), c.k * 2.0 * s * cl * sl
+    x = cr - g * ((cr + 1.0) * u * u + (cr - 1.0) * v * v) + cross * u * v
+    return _invert(c, x, cr * cl * cl)
 
 
 def closed_form_distances(

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
-    RHO_CAP,
+    CURVATURE,
     GeometryKind,
     _check_domain,
     _invert_cos,
@@ -64,24 +64,9 @@ CERTIFICATION_TOL = 1e-8
 #: Escalation cap for per-point certification refinement.
 MAX_CERTIFY_NODES = 2048
 
-#: Upper ends of the bracket search for the axis crossing of F(0, lam).
-_LAMBDA_SCAN_MAX = {
-    GeometryKind.SPHERICAL: math.pi,
-    GeometryKind.HYPERBOLIC: 10.0,
-}
-
 #: Default traced lam grid: this many points from the geometry's lower
-#: end up to 98% of the axis crossing.
+#: end, ``Curvature.lam_floor``, up to 98% of the axis crossing.
 DEFAULT_LAMBDA_STEPS = 32
-_LAMBDA_GRID_MIN = {
-    GeometryKind.SPHERICAL: 0.02,
-    GeometryKind.HYPERBOLIC: 0.05,
-}
-
-_RHO_MAX = {
-    GeometryKind.SPHERICAL: math.pi,
-    GeometryKind.HYPERBOLIC: RHO_CAP,
-}
 
 #: ``rho`` panels per ``lam`` of the guard scan; each panel ``Phi`` changes
 #: sign across holds one root of ``trace_curve``.
@@ -117,10 +102,7 @@ class CurvatureProblem:
     w: float
 
     def __post_init__(self) -> None:
-        if self.geometry is GeometryKind.SPHERICAL:
-            lo, hi = 1.0, 2.0
-        else:
-            lo, hi = 2.0, 3.0
+        lo, hi = CURVATURE[self.geometry].weights
         if not (lo <= self.w <= hi):
             raise ValueError(
                 f"{self.geometry.value} problems pair with weights in "
@@ -260,6 +242,7 @@ def _nested_mean(
     the kink and the inner near-cone at ``alpha = pi``.
     """
     spherical = geometry is GeometryKind.SPHERICAL
+    c = CURVATURE[geometry]
     t, w, v = _tanh_sinh(m)
     pts = max(1, _CHUNK_BUDGET // (2 * t.size))
     if rho.size > pts:
@@ -270,8 +253,8 @@ def _nested_mean(
     owner = np.arange(rho.size)
     lo = np.zeros(rho.size)
     span = np.full(rho.size, math.pi)
+    sr, sl = c.sn(rho), c.sn(lam)
     if spherical:
-        sr, sl = np.sin(rho), np.sin(lam)
         num, den = -np.cos(lam) * (1.0 + np.cos(rho)), sr * sl  # cos phi*
         split = np.flatnonzero(np.abs(num) < den)
         phi_star = np.arccos(num[split] / den[split])
@@ -279,8 +262,6 @@ def _nested_mean(
         owner = np.concatenate([owner, split])
         lo = np.concatenate([lo, phi_star])
         span = np.concatenate([span, math.pi - phi_star])
-    else:
-        sr, sl = np.sinh(rho), np.sinh(lam)
 
     # one row per outer node
     phi = (lo[:, None] + span[:, None] * t).ravel()
@@ -342,16 +323,14 @@ def mean_sq_step(
 
 
 def small_lambda_series(geometry: GeometryKind, rho):
-    """Coefficient of ``lam**2`` in ``F``: ``1 + rho*cot(rho)`` or the coth twin."""
+    """Coefficient of ``lam**2`` in ``F``: ``1 + rho / tn(rho)`` (cot or coth)."""
+    c = CURVATURE[geometry]
     rho_in = np.asarray(rho, dtype=float)
     if np.any(rho_in <= 0.0):
         raise ValueError("series coefficient requires rho > 0")
-    if geometry is GeometryKind.SPHERICAL:
-        if np.any(rho_in >= math.pi):
-            raise ValueError("spherical series coefficient requires rho < pi")
-        coef = 1.0 + rho_in / np.tan(rho_in)
-    else:
-        coef = 1.0 + rho_in / np.tanh(rho_in)
+    if c.antipodal and np.any(rho_in >= c.rho_max):
+        raise ValueError("the series coefficient is singular at the antipode")
+    coef = 1.0 + rho_in / c.tn(rho_in)
     if rho_in.ndim == 0:
         return float(coef)
     return coef
@@ -420,14 +399,14 @@ def make_lambda_grid(
     when there is no crossing.
     """
     if lambda_min is None:
-        lambda_min = _LAMBDA_GRID_MIN[problem.geometry]
+        lambda_min = CURVATURE[problem.geometry].lam_floor
         if lambda_star is not None:
             lambda_min = min(lambda_min, 0.5 * lambda_star)
     if lambda_max is None:
         if lambda_star is not None:
             lambda_max = 0.98 * lambda_star
         else:
-            lambda_max = _LAMBDA_SCAN_MAX[problem.geometry] / 2.0
+            lambda_max = CURVATURE[problem.geometry].scan_max / 2.0
     if not lambda_max > lambda_min:
         raise ValueError("lambda grid is empty: need lambda_max > lambda_min")
     if steps < 2:
@@ -455,10 +434,8 @@ def trace_curve(
         raise ValueError("lambda_grid must be strictly increasing")
     if np.any(grid <= 0.0):
         raise ValueError("lambda_grid values must be positive")
-    if problem.geometry is GeometryKind.HYPERBOLIC and np.any(grid > RHO_CAP):
-        raise ValueError(f"hyperbolic lam values are capped at {RHO_CAP}")
 
-    nodes = np.linspace(0.0, _RHO_MAX[problem.geometry], _GUARD_PANELS + 1)
+    nodes = np.linspace(0.0, CURVATURE[problem.geometry].rho_max, _GUARD_PANELS + 1)
     guard = residual(problem, nodes[None, :], grid[:, None], quad)
     found: list[tuple[float, float]] = []
     for lam, row in zip(grid.tolist(), guard):
@@ -515,7 +492,7 @@ def certify_curve(
     crossing; the re-solve finds none when ``Phi`` has one sign at both
     ends.  ``ok`` is true when every point certifies.
     """
-    hi = _RHO_MAX[problem.geometry]
+    hi = CURVATURE[problem.geometry].rho_max
 
     def resolve(f, n):
         fa, fb = f(0.0), f(hi)
@@ -550,7 +527,7 @@ def axis_crossing(
     As ``F(0, lam) = 2 lam^2 -+ lam^4 / 6 + O(lam^6)``, ``Phi(0, lam)`` has
     the sign of ``2 - w`` below the crossing.  The bracket starts at
     ``lam = 0.05``, shrinks by 1.5 until ``Phi`` has that sign, then grows
-    by 1.5 up to ``_LAMBDA_SCAN_MAX`` until the sign flips; ``_illinois``
+    by 1.5 up to ``Curvature.scan_max`` until the sign flips; ``_illinois``
     solves inside it.  None at ``w = 2`` and when the sign never flips.
     """
     below = 2.0 - problem.w
@@ -566,7 +543,7 @@ def axis_crossing(
         if lo < DEFAULT_BISECT_TOL:
             return None
         f_lo = phi(lo)
-    cap = _LAMBDA_SCAN_MAX[problem.geometry]
+    cap = CURVATURE[problem.geometry].scan_max
     hi, f_hi = lo, f_lo
     while f_hi != 0.0 and (f_hi > 0.0) == (below > 0.0):
         if hi >= cap:
@@ -599,13 +576,14 @@ def _series_intercept(problem: CurvatureProblem) -> float | None:
 
     The series is monotone in ``rho``, so one ``_illinois`` bracket holds
     the root; None when its ends do not differ in sign (as at ``w = 2``).
+    The bracket ends at ``Curvature.scan_max``, short of the sphere's
+    antipode, where ``rho cot(rho)`` diverges.
     """
-    geometry = problem.geometry
-    hi = (math.pi * (1.0 - 1e-12) if geometry is GeometryKind.SPHERICAL
-          else _LAMBDA_SCAN_MAX[geometry])
+    c = CURVATURE[problem.geometry]
+    hi = min(c.scan_max, c.rho_max * (1.0 - 1e-12))
 
     def g(rho):
-        return small_lambda_series(geometry, rho) - problem.w
+        return small_lambda_series(problem.geometry, rho) - problem.w
 
     f_lo, f_hi = g(1e-9), g(hi)
     if f_lo * f_hi >= 0.0:

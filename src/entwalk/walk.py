@@ -123,20 +123,24 @@ class WalkState:
         object.__setattr__(self, "pos_b", np.asarray(self.pos_b, dtype=float))
         if self.pos_a.shape != (2,) or self.pos_b.shape != (2,):
             raise ValueError("positions must be 2-D points")
-        if not (self.step_length > 0.0):
-            raise ValueError(f"step length must be positive, got {self.step_length}")
+        _check_scales(self.separation, self.step_length)
 
     @property
     def separation(self) -> float:
         return float(np.hypot(*(self.pos_a - self.pos_b)))
 
 
+def _check_scales(r: float, l: float) -> None:
+    """Raise unless ``r`` is finite and nonnegative and ``l`` finite and positive."""
+    if not 0.0 <= r < math.inf:
+        raise ValueError(f"separation must be finite and nonnegative, got {r}")
+    if not 0.0 < l < math.inf:
+        raise ValueError(f"step length must be finite and positive, got {l}")
+
+
 def expected_sq_separation(r: float, l: float, proto: ProtocolSpec) -> float:
     """Analytic mean-square separation after one step from separation ``r``."""
-    if r < 0.0:
-        raise ValueError(f"separation must be nonnegative, got {r}")
-    if not l > 0.0:
-        raise ValueError(f"step length must be positive, got {l}")
+    _check_scales(r, l)
     return r * r + weight(proto.kind, proto.effective_p) * l * l
 
 
@@ -277,10 +281,7 @@ def mc_sq_separation(
         raise ValueError(
             f"n_samples must be at least {_MIN_MC_SAMPLES}, got {n_samples}"
         )
-    if r < 0.0:
-        raise ValueError(f"separation must be nonnegative, got {r}")
-    if not l > 0.0:
-        raise ValueError(f"step length must be positive, got {l}")
+    _check_scales(r, l)
     n = int(n_samples)
     count, mean, m2 = 0, 0.0, 0.0
     for dx, dy in _stream_deltas(n, l, proto, rng, _MC_CHUNK):
@@ -381,8 +382,10 @@ def run_ensemble(
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     if n_walkers < 1:
         raise ValueError(f"n_walkers must be at least 1, got {n_walkers}")
-    if meeting_radius < 0.0:
-        raise ValueError(f"meeting radius must be nonnegative, got {meeting_radius}")
+    if not 0.0 <= meeting_radius < math.inf:
+        raise ValueError(
+            f"meeting radius must be finite and nonnegative, got {meeting_radius}"
+        )
 
     sep0 = initial.pos_a - initial.pos_b
     r2_total = np.zeros(n_steps + 1)

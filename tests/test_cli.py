@@ -73,6 +73,41 @@ def test_msd_rejects_undersized_sample_count():
     assert run_cli(["msd", "--samples", "10"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["msd", "--r", "nan", "--samples", "1000"],
+        ["verify", "--r", "nan", "--samples", "20000"],
+        ["simulate", "--l", "inf", "--steps", "2", "--walkers", "2"],
+        ["simulate", "--epsilon", "nan"],
+        ["simulate", "--r", "inf", "--steps", "2", "--walkers", "2"],
+    ],
+    ids=" ".join,
+)
+def test_non_finite_walk_inputs_are_usage_errors(argv, capsys):
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
+
+
+@pytest.mark.parametrize("flag,value", [("--r", "1e200"), ("--l", "1e-300")])
+def test_msd_with_a_non_finite_z_fails(flag, value, capsys):
+    # r^2 overflows, or l^2 underflows to a zero stderr: z is nan, not a
+    # pass and not a ZeroDivisionError
+    with np.errstate(all="ignore"):
+        assert run_cli(["msd", flag, value, "--samples", "1000"]) == 1
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["nan"] * 3
+
+
+def test_verify_fails_a_zero_stderr(capsys):
+    assert run_cli(["verify", "--l", "1e-300", "--samples", "20000"]) == 1
+    captured = capsys.readouterr().out
+    assert "FAIL msd-mc-vs-analytic: max |z| = nan" in captured
+    assert "FAIL ensemble-mc-vs-analytic: step 100 max |z| = nan" in captured
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -273,6 +273,52 @@ def test_ensemble_spread_matches_the_exact_law(kind):
         assert abs(res.stderr_r2[t] * math.sqrt(n) / sigma - 1.0) <= 0.05
 
 
+def radial_chain_meeting(kind, p, r0, l, eps, n_steps, h=0.02, r_max=12.0, nodes=64):
+    """``meeting_fraction`` by the Markov chain of ``R = |X_t|`` on ``h``-wide bins.
+
+    Increments are i.i.d. and isotropic, of length ``L = 2 l cos(theta / 2)``
+    with ``theta`` of density ``(1 -+ p cos theta) / pi`` on ``[0, pi]``
+    (minus for plus, plus for minus, ``p = 0`` for classical), so from
+    ``R`` the next radius is at most ``x`` with probability
+    ``E_theta[arccos((R^2 + L^2 - x^2) / (2 R L)) / pi]`` (Gauss-Legendre
+    in ``theta``).  Bin 0 is the absorbing ``[0, eps]``; the others step
+    from their centres, the first step from ``r0`` itself.  Mass beyond
+    ``r_max`` is dropped: from there the disk is at least 12 steps away.
+    """
+    sign = {Protocol.PLUS: -1.0, Protocol.MINUS: 1.0}.get(kind, 0.0)
+    x, gauss = np.polynomial.legendre.leggauss(nodes)
+    theta = 0.5 * math.pi * (x + 1.0)
+    density = 0.5 * gauss * (1.0 + sign * p * np.cos(theta))
+    step = 2.0 * l * np.cos(0.5 * theta)
+    edges = eps + h * np.arange(round((r_max - eps) / h) + 1)
+
+    def row(r):
+        cos_turn = (r * r + step * step - edges[:, None] ** 2) / (2.0 * r * step)
+        cdf = np.arccos(np.clip(cos_turn, -1.0, 1.0)) @ density / math.pi
+        return np.diff(cdf, prepend=0.0)
+
+    kernel = np.array([row(r) for r in edges[:-1] + 0.5 * h])
+    kernel = np.vstack([np.eye(1, edges.size), kernel])
+    mass = row(r0)
+    met = [0.0, mass[0]]
+    for _ in range(n_steps - 1):
+        mass = mass @ kernel
+        met.append(mass[0])
+    return np.array(met)
+
+
+@pytest.mark.parametrize("kind", list(Protocol))
+def test_meeting_fraction_matches_the_radial_chain(kind):
+    r0, l, eps, n = 1.0, 0.5, 0.05, 10_000
+    proto = ProtocolSpec(kind, 1.0)
+    chain = radial_chain_meeting(kind, proto.effective_p, r0, l, eps, 50)
+    res = run_ensemble(WalkState((0, 0), (r0, 0), l), proto, 50, n, eps, seed=0)
+    assert chain[0] == res.meeting_fraction[0] == 0.0
+    for t in (10, 50):
+        stderr = math.sqrt(chain[t] * (1.0 - chain[t]) / n)
+        assert abs(res.meeting_fraction[t] - chain[t]) <= 4.0 * stderr
+
+
 def test_ensemble_zero_steps_returns_initial_row():
     res = run_ensemble(WalkState((0, 0), (1.0, 0), 0.5),
                        ProtocolSpec(Protocol.PLUS), 0, 1, 0.05, seed=3)
