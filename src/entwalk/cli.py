@@ -345,17 +345,22 @@ _VERIFY_ENSEMBLE_WALKERS = 1000
 
 
 def _check_ensemble(cfg: RunConfig) -> tuple[bool, str]:
-    """Final-step ensemble mean against ``r^2 + t w l^2``, per protocol."""
-    t = _VERIFY_ENSEMBLE_STEPS
+    """Final-step ensemble mean against ``r^2 + t m2``, in exact standard errors.
+
+    Steps are i.i.d. and isotropic with ``m2 = w l^2`` and ``m4 = (6 -+ 4 p) l^4
+    = (4 w - 2) l^4``, so ``Var r_t^2 = 2 m2 r^2 t + m2^2 t (t - 2) + m4 t``.
+    """
+    t, n = _VERIFY_ENSEMBLE_STEPS, _VERIFY_ENSEMBLE_WALKERS
     initial = WalkState((0.0, 0.0), (cfg.r, 0.0), cfg.l)
+    l2 = cfg.l * cfg.l
     worst = 0.0
     for name in _MSD_PROTOCOLS:
         proto = cfg.protocol_spec(name)
-        res = walk.run_ensemble(initial, proto, t, _VERIFY_ENSEMBLE_WALKERS, 0.0,
-                                seed=cfg.seed)
+        res = walk.run_ensemble(initial, proto, t, n, 0.0, seed=cfg.seed)
         w = walk.weight(proto.kind, proto.effective_p)
-        analytic = cfg.r * cfg.r + t * w * cfg.l * cfg.l
-        z = _z_score(res.mean_r2[t], analytic, res.stderr_r2[t])
+        m2, m4 = w * l2, (4.0 * w - 2.0) * l2 * l2
+        var = 2.0 * m2 * cfg.r * cfg.r * t + m2 * m2 * t * (t - 2) + m4 * t
+        z = _z_score(res.mean_r2[t], cfg.r * cfg.r + t * m2, math.sqrt(var / n))
         worst = np.maximum(worst, abs(z))
     return worst <= _VERIFY_Z_BOUND, (
         f"step {t} max |z| = {worst:.2f} (bound {_VERIFY_Z_BOUND})"

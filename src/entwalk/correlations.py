@@ -11,7 +11,7 @@ with ``delta`` the angle between the two axes.  The sampler takes
 ``cos(delta)``, the dot product of the two unit axes, so a caller that
 already holds each axis as ``(cos, sin)`` spends no transcendental on it.
 
-The sampler takes explicit ``numpy.random.Generator`` objects; nothing in
+The sampler takes an explicit ``numpy.random.Generator``; nothing in
 this module owns global random state.
 """
 
@@ -45,23 +45,19 @@ def outcome_probability(
 
 
 def sign_pairs(
-    cos_delta: np.ndarray,
-    p: float,
-    rng_a: np.random.Generator,
-    rng_b: np.random.Generator,
+    cos_delta: np.ndarray, p: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample one sign pair per entry of ``cos_delta``, as floats +-1.0.
 
     Factorized exactly as the joint law dictates: ``sigma_a`` is a fair
     sign, then ``sigma_b = -sigma_a`` with probability
-    ``(1 + p cos(delta)) / 2``.  Each sign reads one uniform per entry:
-    ``sigma_a`` from ``rng_a``, then ``sigma_b`` from ``rng_b``.  Passing
-    one generator twice consumes all ``sigma_a`` draws, then all
-    ``sigma_b`` draws, which is the ensemble's determinism contract.
+    ``(1 + p cos(delta)) / 2``.  Each sign reads one block of uniforms,
+    one per entry, from ``rng``: all ``sigma_a`` draws, then all
+    ``sigma_b`` draws.
     """
     cos_delta = np.asarray(cos_delta, dtype=float)
-    a_up = rng_a.random(cos_delta.shape) < 0.5
-    anti = rng_b.random(cos_delta.shape) < 0.5 * (1.0 + p * cos_delta)
+    a_up = rng.random(cos_delta.shape) < 0.5
+    anti = rng.random(cos_delta.shape) < 0.5 * (1.0 + p * cos_delta)
     # bool arithmetic rather than np.where, which branches per element
     sigma_a = a_up * 2.0 - 1.0
     sigma_b = (a_up ^ anti) * 2.0 - 1.0

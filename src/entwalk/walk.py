@@ -17,20 +17,19 @@ so ``w(plus) + w(minus) = 4`` for every mixing parameter.  These closed
 forms are gated in the test suite by a brute-force direction-grid oracle
 before anything downstream trusts them.
 
-One kernel, ``_separation_deltas``, draws every step from four
-uniforms: A's turn, B's turn, then the two sign uniforms.  Each
-direction comes from a table and a rotation (``_direction``) and the
-sign sampler takes the directions' dot product, so a step spends no
-transcendental.  ``_stream_deltas`` yields the steps of one large call
-in bounded pieces that read the same draws.
+One kernel, ``_separation_deltas``, draws ``n`` steps from one
+generator as four blocks of ``n`` uniforms in turn: A's turns, B's
+turns, then the two sign uniforms.  Each direction comes from a table
+and a rotation (``_direction``) and the sign sampler takes the
+directions' dot product, so a step spends no transcendental.
 
-Ensembles split the walkers into fixed chunks of ``_WALKER_CHUNK``:
-walkers ``[256 c, 256 c + 256)`` draw from one substream,
-``default_rng([seed, c])``, and consume it in blocks of ``_STEP_BLOCK``
-steps, each block the draws of one step-major kernel call.  Both sizes
-are constants of the stream layout, so results are a pure function of
-the seed and parameters, and memory stays bounded whatever the step and
-walker counts.
+Every walk reads its generator in pieces of at most ``_MC_CHUNK``
+walker-steps, each piece one kernel call, so memory stays bounded
+whatever the sample, step and walker counts.  An ensemble splits its walkers into
+fixed chunks of ``_WALKER_CHUNK``: walkers ``[256 c, 256 c + 256)``
+draw from one substream, ``default_rng([seed, c])``, in pieces of whole
+steps.  Both sizes are constants of the stream layout, so results are a
+pure function of the seed and parameters.
 """
 
 from __future__ import annotations
@@ -44,15 +43,13 @@ import numpy as np
 
 from .correlations import TWO_PI, sign_pairs
 
-# The ensemble's stream layout: walkers per substream and steps per
-# array draw.  Changing either changes every ensemble output.
+# The stream layout: walkers per ensemble substream, and walker-steps
+# per kernel call.  Changing either changes walk outputs.  glibc trims
+# the heap's free top whenever it frees a chunk of 64 KiB or more, and
+# the direction kernel's temporaries leave more than its 128 KiB trim
+# threshold there, so 8192-element pieces fault their pages back in on
+# every piece; 32 KiB ones are reused in place.
 _WALKER_CHUNK = 256
-_STEP_BLOCK = 256
-# Elements per piece of ``_stream_deltas``.  It sets speed and memory,
-# not draws.  glibc trims the heap's free top whenever it frees a chunk
-# of 64 KiB or more, and the direction kernel's temporaries leave more
-# than its 128 KiB trim threshold there, so 8192-element pieces fault
-# their pages back in on every piece; 32 KiB ones are reused in place.
 _MC_CHUNK = 1 << 12
 
 #: Uniforms one step reads: A's turn, B's turn, sigma_a, sigma_b.  An
@@ -209,57 +206,20 @@ def _direction(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _separation_deltas(
-    n: int,
-    l: float,
-    proto: ProtocolSpec,
-    rngs: tuple[np.random.Generator, ...],
+    n: int, l: float, proto: ProtocolSpec, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step change of the separation vector for ``n`` independent steps.
 
-    ``rngs`` is ``(rng_A, rng_B, rng_sigma_a, rng_sigma_b)``, each read
-    for ``n`` uniforms in that order.  ``(rng,) * 4`` reads one stream
-    as all A turns, all B turns, then the two sign blocks (the
-    determinism contract).
+    Reads four blocks of ``n`` uniforms from ``rng`` in turn: A's turns,
+    B's turns, ``sigma_a``, then ``sigma_b``.
     """
-    rng_a, rng_b, rng_sa, rng_sb = rngs
-    ca, sa = _direction(rng_a.random(n))
-    cb, sb = _direction(rng_b.random(n))
-    ga, gb = sign_pairs(ca * cb + sa * sb, proto.effective_p, rng_sa, rng_sb)
+    ca, sa = _direction(rng.random(n))
+    cb, sb = _direction(rng.random(n))
+    ga, gb = sign_pairs(ca * cb + sa * sb, proto.effective_p, rng)
     # separation = pos_a - pos_b changes by l*(sigma_a n_a - b_step_sign * sigma_b n_b)
     ga *= l
     gb *= -proto.b_step_sign * l
     return ga * ca + gb * cb, ga * sa + gb * sb
-
-
-def _stream_deltas(
-    n: int, l: float, proto: ProtocolSpec, rng: np.random.Generator, piece: int
-):
-    """The steps of ``_separation_deltas(n, l, proto, (rng,) * 4)``, in pieces.
-
-    Yields ``(dx, dy)`` for at most ``piece`` steps at a time.  Four copies
-    of ``rng``'s PCG64 stream, advanced to offsets ``0, n, 2n, 3n``, feed
-    the four draw kinds, so every step reads the draws it would read in
-    the one big call, while memory stays bounded by ``piece``.  Once the
-    pieces are exhausted ``rng`` stands ``4 n`` draws further on, as if
-    it had made them itself.
-    """
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, np.random.PCG64):
-        raise TypeError(
-            f"need a PCG64 generator (np.random.default_rng), got {type(bitgen).__name__}"
-        )
-    streams = []
-    for k in range(MC_DRAWS_PER_SAMPLE):
-        copy = type(bitgen)(0)
-        copy.state = bitgen.state
-        copy.advance(k * n)
-        streams.append(np.random.Generator(copy))
-    for lo in range(0, n, piece):
-        yield _separation_deltas(min(piece, n - lo), l, proto, streams)
-    # the last stream stopped at offset 4n; keep rng's buffered half-word
-    state = bitgen.state
-    state["state"] = streams[-1].bit_generator.state["state"]
-    bitgen.state = state
 
 
 def mc_sq_separation(
@@ -271,11 +231,11 @@ def mc_sq_separation(
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of ``r'^2`` over single steps.
 
-    The samples are the steps of one ``n_samples``-step kernel call on
-    ``rng``, streamed by ``_stream_deltas``; block means and sums of
-    squared deviations are merged by the Chan-Golub-LeVeque update.  On
-    return ``rng`` stands ``MC_DRAWS_PER_SAMPLE * n_samples`` draws
-    further on.
+    The samples are the steps of kernel calls of at most ``_MC_CHUNK``
+    steps on ``rng``; piece means and sums of squared deviations are
+    merged by the Chan-Golub-LeVeque update.  On return ``rng`` stands
+    ``MC_DRAWS_PER_SAMPLE * n_samples`` draws further on.  Raises
+    ``ValueError`` when ``r'^2`` or its spread overflows.
     """
     if n_samples < _MIN_MC_SAMPLES:
         raise ValueError(
@@ -284,15 +244,23 @@ def mc_sq_separation(
     _check_scales(r, l)
     n = int(n_samples)
     count, mean, m2 = 0, 0.0, 0.0
-    for dx, dy in _stream_deltas(n, l, proto, rng, _MC_CHUNK):
-        r2 = (r + dx) ** 2 + dy**2
-        k = len(r2)
-        block_mean = float(np.mean(r2))
-        delta = block_mean - mean
-        total = count + k
-        mean += delta * (k / total)
-        m2 += float(np.sum((r2 - block_mean) ** 2)) + delta * delta * count * k / total
-        count = total
+    # an overflow is reported once, below, rather than warned per piece
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _MC_CHUNK):
+            dx, dy = _separation_deltas(min(_MC_CHUNK, n - lo), l, proto, rng)
+            r2 = (r + dx) ** 2 + dy**2
+            k = len(r2)
+            piece_mean = float(np.mean(r2))
+            delta = piece_mean - mean
+            total = count + k
+            mean += delta * (k / total)
+            m2 += (float(np.sum((r2 - piece_mean) ** 2))
+                   + delta * delta * count * k / total)
+            count = total
+    if not (math.isfinite(mean) and math.isfinite(m2)):
+        raise ValueError(
+            f"the squared separation or its spread overflows at r = {r}, l = {l}"
+        )
     return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
@@ -324,44 +292,37 @@ def _add_chunk_stats(
     """Add one walker chunk's per-step sums to ``totals``.
 
     ``totals`` holds the running per-step sums of ``r^2``, of ``r^4`` and
-    of "met by now"; their length is ``n_steps + 1``.  Each block of ``k``
-    steps reads the draws of one ``_separation_deltas(k * n_walkers)``
-    call on ``rng``, step-major as ``(k, n_walkers)``, in pieces of whole
-    steps.  The carried position is added to a piece's first row before
-    the running sum, so positions are the plain running sum of all steps,
-    whatever the block and piece sizes.
+    of "met by now"; their length is ``n_steps + 1``.  Each piece of
+    ``k`` whole steps is one ``_separation_deltas(k * n_walkers)`` call
+    on ``rng``, step-major as ``(k, n_walkers)``.  The carried position
+    is added to a piece's first row before the running sum, so positions
+    are the plain running sum of all steps.
     """
     r2_total, r4_total, met_total = totals
     n_steps = len(r2_total) - 1
     x = np.full(n_walkers, sep0[0])
     y = np.full(n_walkers, sep0[1])
-    r2 = x * x + y * y
     eps2 = meeting_radius * meeting_radius
-    met = r2 <= eps2
-    r2_total[0] += np.sum(r2)
-    r4_total[0] += np.sum(r2 * r2)
-    met_total[0] += np.count_nonzero(met)
-    piece = max(1, _MC_CHUNK // n_walkers) * n_walkers
-    done = 0
-    for t in range(0, n_steps, _STEP_BLOCK):
-        block = min(_STEP_BLOCK, n_steps - t) * n_walkers
-        for dx, dy in _stream_deltas(block, l, proto, rng, piece):
-            dx = dx.reshape(-1, n_walkers)
-            dy = dy.reshape(-1, n_walkers)
-            rows = slice(done + 1, done + len(dx) + 1)
-            done += len(dx)
-            dx[0] += x
-            dy[0] += y
-            sx = np.cumsum(dx, axis=0)
-            sy = np.cumsum(dy, axis=0)
-            r2 = sx * sx + sy * sy
-            hit = r2 <= eps2
-            hit[0] |= met
-            hit = np.logical_or.accumulate(hit, axis=0)
-            r2_total[rows] += np.sum(r2, axis=1)
-            r4_total[rows] += np.sum(r2 * r2, axis=1)
-            met_total[rows] += np.count_nonzero(hit, axis=1)
-            x, y, met = sx[-1], sy[-1], hit[-1]
+    met = x * x + y * y <= eps2
+    met_total[0] += np.count_nonzero(met)  # run_ensemble writes step 0's r^2 itself
+    piece = max(1, _MC_CHUNK // n_walkers)
+    for lo in range(0, n_steps, piece):
+        k = min(piece, n_steps - lo)
+        dx, dy = (d.reshape(k, n_walkers)
+                  for d in _separation_deltas(k * n_walkers, l, proto, rng))
+        dx[0] += x
+        dy[0] += y
+        sx = np.cumsum(dx, axis=0)
+        sy = np.cumsum(dy, axis=0)
+        r2 = sx * sx + sy * sy
+        hit = r2 <= eps2
+        hit[0] |= met
+        hit = np.logical_or.accumulate(hit, axis=0)
+        rows = slice(lo + 1, lo + k + 1)
+        r2_total[rows] += np.sum(r2, axis=1)
+        r4_total[rows] += np.sum(r2 * r2, axis=1)
+        met_total[rows] += np.count_nonzero(hit, axis=1)
+        x, y, met = sx[-1], sy[-1], hit[-1]
 
 
 def run_ensemble(
@@ -376,7 +337,8 @@ def run_ensemble(
 
     Walkers ``[256 c, 256 c + 256)`` draw from ``default_rng([seed, c])``,
     and chunk sums are added in chunk order, so the output is a pure
-    function of the arguments.
+    function of the arguments.  Raises ``ValueError`` if the squared
+    meeting radius or reach overflows.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
@@ -386,21 +348,21 @@ def run_ensemble(
         raise ValueError(
             f"meeting radius must be finite and nonnegative, got {meeting_radius}"
         )
+    # every separation stays within |sep0| + 2 l n_steps of the origin
+    reach = initial.separation + 2.0 * initial.step_length * n_steps
+    for name, value in (("meeting radius", meeting_radius),
+                        ("reach |r| + 2 l n_steps", reach)):
+        if not math.isfinite(value * value):
+            raise ValueError(f"{name} = {value} overflows when squared")
 
     sep0 = initial.pos_a - initial.pos_b
-    r2_total = np.zeros(n_steps + 1)
-    r4_total = np.zeros(n_steps + 1)
+    r2_total, r4_total = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
     met_total = np.zeros(n_steps + 1, dtype=np.int64)
     for chunk, lo in enumerate(range(0, n_walkers, _WALKER_CHUNK)):
-        _add_chunk_stats(
-            (r2_total, r4_total, met_total),
-            np.random.default_rng([seed, chunk]),
-            min(_WALKER_CHUNK, n_walkers - lo),
-            sep0,
-            initial.step_length,
-            proto,
-            meeting_radius,
-        )
+        rng = np.random.default_rng([seed, chunk])
+        _add_chunk_stats((r2_total, r4_total, met_total), rng,
+                         min(_WALKER_CHUNK, n_walkers - lo), sep0,
+                         initial.step_length, proto, meeting_radius)
     mean_r2 = r2_total / n_walkers
     if n_walkers > 1:
         spread = np.maximum(r4_total - r2_total * mean_r2, 0.0)
@@ -411,8 +373,4 @@ def run_ensemble(
     x0, y0 = sep0
     mean_r2[0] = x0 * x0 + y0 * y0
     stderr_r2[0] = 0.0
-    return EnsembleResult(
-        mean_r2=mean_r2,
-        stderr_r2=stderr_r2,
-        meeting_fraction=met_total / n_walkers,
-    )
+    return EnsembleResult(mean_r2, stderr_r2, met_total / n_walkers)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -91,10 +92,32 @@ def test_non_finite_walk_inputs_are_usage_errors(argv, capsys):
     assert "must be finite" in captured.err
 
 
-@pytest.mark.parametrize("flag,value", [("--r", "1e200"), ("--l", "1e-300")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["msd", "--r", "1e200", "--samples", "1000"],
+        ["msd", "--r", "1e152", "--samples", "1000"],
+        ["simulate", "--r", "1e200", "--steps", "2", "--walkers", "2"],
+        ["simulate", "--r", "1e160", "--l", "1e160", "--steps", "2", "--walkers", "2"],
+    ],
+    ids=" ".join,
+)
+def test_overflowing_walk_scales_are_usage_errors(argv, capsys):
+    # r'^2, its spread, the squared reach or the squared meeting radius
+    # overflows: one error line that names it, and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "overflows" in captured.err
+
+
+@pytest.mark.parametrize("flag,value", [("--l", "1e-300")])
 def test_msd_with_a_non_finite_z_fails(flag, value, capsys):
-    # r^2 overflows, or l^2 underflows to a zero stderr: z is nan, not a
-    # pass and not a ZeroDivisionError
+    # l^2 underflows to a zero stderr: z is nan, not a pass and not a
+    # ZeroDivisionError
     with np.errstate(all="ignore"):
         assert run_cli(["msd", flag, value, "--samples", "1000"]) == 1
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]

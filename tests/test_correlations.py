@@ -24,7 +24,7 @@ def test_direction_unit_vector_norm():
     # to 2 l exactly when each is l along a unit direction
     turn = np.array([0.0, 1.0, 2.5, 6.2]) / TWO_PI
     rng = ScriptedRng(randoms=[turn, turn, 0.3, 0.9])
-    dx, dy = _separation_deltas(4, 0.5, ProtocolSpec(Protocol.CLASSICAL), (rng,) * 4)
+    dx, dy = _separation_deltas(4, 0.5, ProtocolSpec(Protocol.CLASSICAL), rng)
     assert np.hypot(dx, dy) == pytest.approx(np.ones(4), abs=1e-12)
 
 
@@ -88,14 +88,14 @@ def test_rotational_invariance(a, b, p, offset):
 
 def test_sampler_common_axis_always_anticorrelated():
     rng = np.random.default_rng(1)
-    sa, sb = sign_pairs(np.cos(np.zeros(500)), 1.0, rng, rng)
+    sa, sb = sign_pairs(np.cos(np.zeros(500)), 1.0, rng)
     assert np.all(sb == -sa)
 
 
 def test_sampler_uncorrelated_at_zero_mixing():
     rng = np.random.default_rng(2)
     n = 200_000
-    sa, sb = sign_pairs(np.cos(np.full(n, 0.4)), 0.0, rng, rng)
+    sa, sb = sign_pairs(np.cos(np.full(n, 0.4)), 0.0, rng)
     # all four joint outcomes equally likely: check mean and correlation
     assert abs(np.mean(sa)) < 3.0 / math.sqrt(n)
     assert abs(np.mean(sb)) < 3.0 / math.sqrt(n)
@@ -106,7 +106,7 @@ def test_sampler_anticorrelation_frequency_pi_third():
     # P(sigma_b = -sigma_a) = (1 + cos(pi/3)) / 2 = 0.75 at full mixing
     rng = np.random.default_rng(3)
     n = 1_000_000
-    sa, sb = sign_pairs(np.cos(np.full(n, math.pi / 3)), 1.0, rng, rng)
+    sa, sb = sign_pairs(np.cos(np.full(n, math.pi / 3)), 1.0, rng)
     freq = np.mean(sa != sb)
     stderr = math.sqrt(0.75 * 0.25 / n)
     assert abs(freq - 0.75) < 3.0 * stderr
@@ -118,7 +118,7 @@ def test_sampler_matches_distribution_chi_square():
         delta = rng.uniform(0.0, 2.0 * math.pi)
         p = rng.uniform(0.0, 1.0)
         n = 1_000_000
-        sa, sb = sign_pairs(np.cos(np.full(n, delta)), p, rng, rng)
+        sa, sb = sign_pairs(np.cos(np.full(n, delta)), p, rng)
         observed = np.array(
             [
                 np.sum((sa == x) & (sb == y))
@@ -139,13 +139,11 @@ def test_sampler_matches_distribution_chi_square():
 
 def _recorded_turns(seed, n):
     """The two turn blocks one classical ``n``-step kernel call draws."""
-    turns = RecordingRng(seed)
-    signs = np.random.default_rng(seed + 1)
-    proto = ProtocolSpec(Protocol.CLASSICAL)
-    _separation_deltas(n, 1.0, proto, (turns, turns, signs, signs))
-    # A's turns, then B's, and nothing else from the direction streams
-    assert [draw.shape for draw in turns.randoms] == [(n,), (n,)]
-    return turns.randoms
+    rng = RecordingRng(seed)
+    _separation_deltas(n, 1.0, ProtocolSpec(Protocol.CLASSICAL), rng)
+    # four blocks in turn: A's turns, B's turns, sigma_a's and sigma_b's uniforms
+    assert [draw.shape for draw in rng.randoms] == [(n,)] * 4
+    return rng.randoms[:2]
 
 
 def test_sample_direction_moments():
@@ -176,5 +174,5 @@ def test_sample_direction_kolmogorov_smirnov():
 @given(a=angles, b=angles, p=mixings, seed=st.integers(0, 2**32 - 1))
 def test_sampler_signs_are_valid(a, b, p, seed):
     rng = np.random.default_rng(seed)
-    sa, sb = sign_pairs(np.cos(np.full(16, a - b)), p, rng, rng)
+    sa, sb = sign_pairs(np.cos(np.full(16, a - b)), p, rng)
     assert np.all(np.isin(sa, (-1, 1))) and np.all(np.isin(sb, (-1, 1)))

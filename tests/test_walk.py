@@ -96,7 +96,7 @@ def test_step_plus_common_axis_cancels():
     # signs; sigma_a is +1 for the first step and -1 for the second
     turn = 0.9 / (2.0 * math.pi)
     rng = ScriptedRng(randoms=[turn, turn, np.array([0.3, 0.7]), 0.2])
-    dx, dy = _separation_deltas(2, 0.5, ProtocolSpec(Protocol.PLUS, 1.0), (rng,) * 4)
+    dx, dy = _separation_deltas(2, 0.5, ProtocolSpec(Protocol.PLUS, 1.0), rng)
     assert np.all(np.abs(dx) <= 1e-12)
     assert np.all(np.abs(dy) <= 1e-12)
 
@@ -104,7 +104,7 @@ def test_step_plus_common_axis_cancels():
 def test_step_minus_common_axis_doubles():
     turn = 0.9 / (2.0 * math.pi)
     rng = ScriptedRng(randoms=[turn, turn, np.array([0.3, 0.7]), 0.2])
-    dx, dy = _separation_deltas(2, 0.5, ProtocolSpec(Protocol.MINUS, 1.0), (rng,) * 4)
+    dx, dy = _separation_deltas(2, 0.5, ProtocolSpec(Protocol.MINUS, 1.0), rng)
     sigma_a = np.array([1.0, -1.0])
     assert dx == pytest.approx(2 * 0.5 * sigma_a * math.cos(0.9), abs=1e-12)
     assert dy == pytest.approx(2 * 0.5 * sigma_a * math.sin(0.9), abs=1e-12)
@@ -119,7 +119,7 @@ def test_step_minus_common_axis_doubles():
 def test_step_triangle_inequality(seed, kind, p):
     rng = np.random.default_rng(seed)
     sep = rng.normal(size=2)
-    dx, dy = _separation_deltas(64, 0.7, ProtocolSpec(kind, p), (rng,) * 4)
+    dx, dy = _separation_deltas(64, 0.7, ProtocolSpec(kind, p), rng)
     r_prime = np.hypot(sep[0] + dx, sep[1] + dy)
     assert np.all(np.abs(r_prime - np.hypot(*sep)) <= 2 * 0.7 + 1e-12)
 
@@ -154,7 +154,7 @@ def test_direction_kernel_matches_libm():
 def test_step_from_coincident_start():
     rng = np.random.default_rng(11)
     for kind in Protocol:
-        dx, dy = _separation_deltas(1000, 0.5, ProtocolSpec(kind, 1.0), (rng,) * 4)
+        dx, dy = _separation_deltas(1000, 0.5, ProtocolSpec(kind, 1.0), rng)
         assert np.all(np.hypot(dx, dy) <= 2 * 0.5 + 1e-12)
 
 
@@ -168,23 +168,34 @@ def test_mc_rejects_tiny_sample_counts():
                          np.random.default_rng(0))
 
 
-def _unchunked_reference(r, l, proto, n, rng):
-    """One array draw of all four blocks from one generator, sines by ``np.sin``."""
-    ang_a = rng.uniform(0.0, 2.0 * math.pi, n)
-    ang_b = rng.uniform(0.0, 2.0 * math.pi, n)
+def _reference_deltas(n, l, proto, rng):
+    """``n`` steps from four blocks of ``rng``: A's turns, B's turns, sigma_a, sigma_b.
+
+    Directions by ``np.cos``/``np.sin``, signs by ``np.where``.
+    """
+    ang_a = 2.0 * math.pi * rng.random(n)
+    ang_b = 2.0 * math.pi * rng.random(n)
     sigma_a = np.where(rng.random(n) < 0.5, 1, -1)
     p_anti = 0.5 * (1.0 + proto.effective_p * np.cos(ang_a - ang_b))
     sigma_b = np.where(rng.random(n) < p_anti, -sigma_a, sigma_a)
     coeff_b = -proto.b_step_sign
     dx = l * (sigma_a * np.cos(ang_a) + coeff_b * sigma_b * np.cos(ang_b))
     dy = l * (sigma_a * np.sin(ang_a) + coeff_b * sigma_b * np.sin(ang_b))
+    return dx, dy
+
+
+def _piecewise_reference(r, l, proto, n, rng):
+    """Mean and stderr of ``r'^2`` over pieces of ``_MC_CHUNK`` steps, in order."""
+    pieces = [_reference_deltas(min(_MC_CHUNK, n - lo), l, proto, rng)
+              for lo in range(0, n, _MC_CHUNK)]
+    dx, dy = (np.concatenate(d) for d in zip(*pieces))
     r2 = (r + dx) ** 2 + dy**2
     return float(np.mean(r2)), float(np.std(r2, ddof=1) / math.sqrt(n))
 
 
 @pytest.mark.parametrize("kind", list(Protocol))
-def test_mc_streams_the_draws_of_one_unchunked_call(kind):
-    # three full blocks and a ragged one; the generators first hand out a
+def test_mc_draws_each_piece_in_order(kind):
+    # three full pieces and a ragged one; the generators first hand out a
     # 32-bit integer, so half a 64-bit draw stays buffered across the call
     n = 3 * _MC_CHUNK + 17
     proto = ProtocolSpec(kind, 0.6)
@@ -192,7 +203,7 @@ def test_mc_streams_the_draws_of_one_unchunked_call(kind):
     rng.integers(0, 10, dtype=np.int32)
     ref_rng.integers(0, 10, dtype=np.int32)
     mean, stderr = mc_sq_separation(1.3, 0.7, proto, n, rng)
-    ref_mean, ref_stderr = _unchunked_reference(1.3, 0.7, proto, n, ref_rng)
+    ref_mean, ref_stderr = _piecewise_reference(1.3, 0.7, proto, n, ref_rng)
     assert abs(mean / ref_mean - 1.0) <= 1e-13
     assert abs(stderr / ref_stderr - 1.0) <= 1e-13
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -211,10 +222,21 @@ def test_mc_memory_does_not_grow_with_samples():
     assert peaks[1] <= 1.25 * peaks[0]
 
 
-def test_mc_rejects_generators_it_cannot_offset():
-    rng = np.random.Generator(np.random.MT19937(0))
-    with pytest.raises(TypeError):
-        mc_sq_separation(1.0, 0.5, ProtocolSpec(Protocol.PLUS), 1000, rng)
+def test_mc_reads_any_bit_generator_in_order():
+    # MT19937 has no advance; the walk needs none
+    n = 2 * _MC_CHUNK + 5
+    proto = ProtocolSpec(Protocol.MINUS, 0.4)
+    rng = np.random.Generator(np.random.MT19937(3))
+    ref_rng = np.random.Generator(np.random.MT19937(3))
+    mean, stderr = mc_sq_separation(0.8, 0.5, proto, n, rng)
+    ref_mean, ref_stderr = _piecewise_reference(0.8, 0.5, proto, n, ref_rng)
+    assert abs(mean / ref_mean - 1.0) <= 1e-13
+    assert abs(stderr / ref_stderr - 1.0) <= 1e-13
+    skipped = np.random.Generator(np.random.MT19937(3))
+    skipped.random(4 * n)
+    state, expected = (g.bit_generator.state["state"] for g in (rng, skipped))
+    assert state["pos"] == expected["pos"]
+    assert np.array_equal(state["key"], expected["key"])
 
 
 @pytest.mark.parametrize(
@@ -357,38 +379,47 @@ def test_ensemble_deterministic_across_reruns():
         assert np.array_equal(runs[0].meeting_fraction, other.meeting_fraction)
 
 
+def _ensemble_reference(seed, chunk, sep0, l, proto, n_steps, walkers, deltas):
+    """Per-step ``r^2`` of one walker chunk, ``(n_steps + 1, walkers)``.
+
+    ``default_rng([seed, chunk])`` is drawn in pieces of
+    ``_MC_CHUNK // walkers`` whole steps, each piece ``deltas`` on its own
+    four blocks; the positions are one running sum over all steps.
+    """
+    rng = np.random.default_rng([seed, chunk])
+    piece = _MC_CHUNK // walkers
+    pieces = [deltas(min(piece, n_steps - lo) * walkers, l, proto, rng)
+              for lo in range(0, n_steps, piece)]
+    dx, dy = (np.concatenate(d).reshape(-1, walkers) for d in zip(*pieces))
+    x = np.cumsum(np.vstack([np.full(walkers, sep0[0]), dx]), axis=0)
+    y = np.cumsum(np.vstack([np.full(walkers, sep0[1]), dy]), axis=0)
+    return x * x + y * y
+
+
 def test_ensemble_follows_the_chunk_seeded_stream_layout():
-    # 300 walkers and 300 steps span two walker chunks (256 + 44) and two
-    # step blocks (256 + 44); the reference draws each chunk's blocks from
-    # default_rng([seed, chunk]) and runs one sum over all of its steps
+    # 300 walkers span two walker chunks (256 + 44); 300 steps are 18
+    # pieces of 16 steps and a ragged 12 in the first, 3 pieces of 93
+    # and a ragged 21 in the second
     seed, eps, l = 13, 0.3, 0.5
     proto = ProtocolSpec(Protocol.PLUS, 0.8)
     res = run_ensemble(WalkState((0, 0), (1.2, 0.4), l), proto, 300, 300, eps,
                        seed=seed)
-    r2_total = np.zeros(301)
-    met_total = np.zeros(301, dtype=np.int64)
-    r2_walkers = []
-    for chunk, walkers in enumerate((256, 44)):
-        rng = np.random.default_rng([seed, chunk])
-        blocks = [_separation_deltas(k * walkers, l, proto, (rng,) * 4)
-                  for k in (256, 44)]
-        dx = np.vstack([bx.reshape(-1, walkers) for bx, _ in blocks])
-        dy = np.vstack([by.reshape(-1, walkers) for _, by in blocks])
-        x = np.cumsum(np.vstack([np.full(walkers, -1.2), dx]), axis=0)
-        y = np.cumsum(np.vstack([np.full(walkers, -0.4), dy]), axis=0)
-        r2 = x * x + y * y
-        r2_total += np.sum(r2, axis=1)
-        r2_walkers.append(r2)
-        met_total += np.count_nonzero(
-            np.logical_or.accumulate(r2 <= eps * eps, axis=0), axis=1
-        )
-    expected = r2_total / 300
-    expected[0] = 1.2 * 1.2 + 0.4 * 0.4  # step 0 is |sep0|^2, not a rounded mean
-    assert np.array_equal(res.mean_r2, expected)
-    assert np.array_equal(res.meeting_fraction, met_total / 300)
-    stderr = np.std(np.hstack(r2_walkers), axis=1, ddof=1) / math.sqrt(300)
-    assert res.stderr_r2[0] == 0.0
-    assert np.allclose(res.stderr_r2[1:], stderr[1:], rtol=1e-10, atol=0.0)
+    # libm's directions agree to rounding; the kernel's own ones exactly
+    for deltas, rtol in ((_reference_deltas, 1e-13), (_separation_deltas, 0.0)):
+        chunks = [
+            _ensemble_reference(seed, chunk, (-1.2, -0.4), l, proto, 300,
+                                walkers, deltas)
+            for chunk, walkers in enumerate((256, 44))
+        ]
+        r2 = np.hstack(chunks)
+        met = np.logical_or.accumulate(r2 <= eps * eps, axis=0)
+        expected = sum(np.sum(c, axis=1) for c in chunks) / 300
+        expected[0] = 1.2 * 1.2 + 0.4 * 0.4  # step 0 is |sep0|^2, not a rounded mean
+        assert np.array_equal(res.meeting_fraction, np.count_nonzero(met, axis=1) / 300)
+        assert np.allclose(res.mean_r2, expected, rtol=rtol, atol=0.0)
+        stderr = np.std(r2, axis=1, ddof=1) / math.sqrt(300)
+        assert res.stderr_r2[0] == 0.0
+        assert np.allclose(res.stderr_r2[1:], stderr[1:], rtol=1e-10, atol=0.0)
 
 
 def test_ensemble_memory_does_not_grow_with_steps():
