@@ -3,8 +3,7 @@
 The package has four layers:
 
 * :mod:`entwalk.correlations` -- exact joint sign distribution for paired
-  measurements along planar axes, with a mixing parameter ``p``, and the
-  matching samplers.
+  measurements along planar axes, with a mixing parameter ``p``.
 * :mod:`entwalk.walk` -- two-agent random walk built on those signs:
   analytic mean-square separation laws, Monte Carlo estimators and
   reproducible chunk-seeded ensembles.

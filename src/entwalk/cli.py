@@ -188,7 +188,7 @@ def cmd_msd(cfg: RunConfig) -> int:
     rows = []
     worst = 0.0
     for name in names:
-        # row k reads default_rng(seed) from draw 4 * samples * k on, so a
+        # row k reads default_rng(seed) from draw 3 * samples * k on, so a
         # --protocol run prints the same row as the full table
         rng = np.random.default_rng(cfg.seed)
         rng.bit_generator.advance(

@@ -7,12 +7,9 @@ common axis (``p = 1``) and independent fair signs (``p = 0``):
 
     P(sigma_a, sigma_b) = (1 - p * sigma_a * sigma_b * cos(delta)) / 4
 
-with ``delta`` the angle between the two axes.  The sampler takes
-``cos(delta)``, the dot product of the two unit axes, so a caller that
-already holds each axis as ``(cos, sin)`` spends no transcendental on it.
-
-The sampler takes an explicit ``numpy.random.Generator``; nothing in
-this module owns global random state.
+with ``delta`` the angle between the two axes.  ``sigma_a`` is a fair
+sign, and ``sigma_b = -sigma_a`` with probability ``(1 + p cos(delta)) / 2``;
+``entwalk.walk`` samples steps from that factorization.
 """
 
 from __future__ import annotations
@@ -43,22 +40,3 @@ def outcome_probability(
         raise ValueError(f"signs must be +1 or -1, got ({sigma_a}, {sigma_b})")
     return 0.25 * (1.0 - p * sigma_a * sigma_b * np.cos(delta))
 
-
-def sign_pairs(
-    cos_delta: np.ndarray, p: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample one sign pair per entry of ``cos_delta``, as floats +-1.0.
-
-    Factorized exactly as the joint law dictates: ``sigma_a`` is a fair
-    sign, then ``sigma_b = -sigma_a`` with probability
-    ``(1 + p cos(delta)) / 2``.  Each sign reads one block of uniforms,
-    one per entry, from ``rng``: all ``sigma_a`` draws, then all
-    ``sigma_b`` draws.
-    """
-    cos_delta = np.asarray(cos_delta, dtype=float)
-    a_up = rng.random(cos_delta.shape) < 0.5
-    anti = rng.random(cos_delta.shape) < 0.5 * (1.0 + p * cos_delta)
-    # bool arithmetic rather than np.where, which branches per element
-    sigma_a = a_up * 2.0 - 1.0
-    sigma_b = (a_up ^ anti) * 2.0 - 1.0
-    return sigma_a, sigma_b

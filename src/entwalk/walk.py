@@ -18,10 +18,10 @@ forms are gated in the test suite by a brute-force direction-grid oracle
 before anything downstream trusts them.
 
 One kernel, ``_separation_deltas``, draws ``n`` steps from one
-generator as four blocks of ``n`` uniforms in turn: A's turns, B's
-turns, then the two sign uniforms.  Each direction comes from a table
-and a rotation (``_direction``) and the sign sampler takes the
-directions' dot product, so a step spends no transcendental.
+generator as three blocks of ``n`` uniforms in turn: A's turns, B's
+turns, then the coupling uniforms.  Each direction comes from a table
+and a rotation (``_direction``) and the coupling reads the directions'
+dot product, so a step spends no transcendental.
 
 Every walk reads its generator in pieces of at most ``_MC_CHUNK``
 walker-steps, each piece one kernel call, so memory stays bounded
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import TWO_PI, sign_pairs
+from .correlations import TWO_PI
 
 # The stream layout: walkers per ensemble substream, and walker-steps
 # per kernel call.  Changing either changes walk outputs.  glibc trims
@@ -52,10 +52,10 @@ from .correlations import TWO_PI, sign_pairs
 _WALKER_CHUNK = 256
 _MC_CHUNK = 1 << 12
 
-#: Uniforms one step reads: A's turn, B's turn, sigma_a, sigma_b.  An
+#: Uniforms one step reads: A's turn, B's turn, the coupling.  An
 #: ``n``-sample ``mc_sq_separation`` call advances its generator by
 #: ``MC_DRAWS_PER_SAMPLE * n`` draws.
-MC_DRAWS_PER_SAMPLE = 4
+MC_DRAWS_PER_SAMPLE = 3
 
 _MIN_MC_SAMPLES = 1000
 
@@ -185,7 +185,7 @@ def _direction(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x -= k
     x *= _TURN_ANGLE  # delta
     i = k.astype(np.intp)
-    d2 = x * x
+    d2 = np.multiply(x, x, out=k)
     cm1 = d2 * (1.0 / 24.0)  # cos(delta) - 1
     cm1 -= 0.5
     cm1 *= d2
@@ -196,11 +196,11 @@ def _direction(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sd += x
     cos_table, sin_table = _turn_table()
     ck, sk = cos_table[i], sin_table[i]
-    c = ck * cm1
-    c -= sk * sd
+    c = np.multiply(ck, cm1, out=d2)
+    c -= np.multiply(sk, sd, out=x)
     c += ck
-    s = sk * cm1
-    s += ck * sd
+    s = np.multiply(sk, cm1, out=cm1)
+    s += np.multiply(ck, sd, out=sd)
     s += sk
     return c, s
 
@@ -210,16 +210,31 @@ def _separation_deltas(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-step change of the separation vector for ``n`` independent steps.
 
-    Reads four blocks of ``n`` uniforms from ``rng`` in turn: A's turns,
-    B's turns, ``sigma_a``, then ``sigma_b``.
+    Reads three blocks of ``n`` uniforms from ``rng`` in turn: A's turns,
+    B's turns, then the coupling uniforms.  The step
+    ``l (sigma_a n_a - s sigma_b n_b)``, ``s = b_step_sign``, is
+    ``l (n_a - s q n_b)`` with ``sigma_a`` folded into the directions: a fair
+    sign keeps the pair uniform and their angle ``delta``.  ``q = sigma_a
+    sigma_b`` is -1 with probability ``(1 + p cos delta) / 2``.  The step
+    is written into the direction arrays, never into a drawn one.
     """
     ca, sa = _direction(rng.random(n))
     cb, sb = _direction(rng.random(n))
-    ga, gb = sign_pairs(ca * cb + sa * sb, proto.effective_p, rng)
-    # separation = pos_a - pos_b changes by l*(sigma_a n_a - b_step_sign * sigma_b n_b)
-    ga *= l
-    gb *= -proto.b_step_sign * l
-    return ga * ca + gb * cb, ga * sa + gb * sb
+    anti = ca * cb  # P(q = -1) from cos delta, the directions' dot product
+    anti += sa * sb
+    anti *= 0.5 * proto.effective_p
+    anti += 0.5
+    sl = proto.b_step_sign * l
+    # bool arithmetic rather than np.where, which branches per element
+    gb = np.multiply(rng.random(n) < anti, 2.0 * sl, out=anti)  # -s q l
+    gb -= sl
+    cb *= gb
+    ca *= l
+    ca += cb
+    sb *= gb
+    sa *= l
+    sa += sb
+    return ca, sa
 
 
 def mc_sq_separation(
@@ -258,9 +273,7 @@ def mc_sq_separation(
                    + delta * delta * count * k / total)
             count = total
     if not (math.isfinite(mean) and math.isfinite(m2)):
-        raise ValueError(
-            f"the squared separation or its spread overflows at r = {r}, l = {l}"
-        )
+        raise ValueError(f"r'^2 or its spread overflows at r = {r}, l = {l}")
     return mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n)
 
 
@@ -300,8 +313,7 @@ def _add_chunk_stats(
     """
     r2_total, r4_total, met_total = totals
     n_steps = len(r2_total) - 1
-    x = np.full(n_walkers, sep0[0])
-    y = np.full(n_walkers, sep0[1])
+    x, y = (np.full(n_walkers, c) for c in sep0)
     eps2 = meeting_radius * meeting_radius
     met = x * x + y * y <= eps2
     met_total[0] += np.count_nonzero(met)  # run_ensemble writes step 0's r^2 itself
@@ -312,17 +324,25 @@ def _add_chunk_stats(
                   for d in _separation_deltas(k * n_walkers, l, proto, rng))
         dx[0] += x
         dy[0] += y
-        sx = np.cumsum(dx, axis=0)
-        sy = np.cumsum(dy, axis=0)
-        r2 = sx * sx + sy * sy
-        hit = r2 <= eps2
+        for d in (dx, dy):  # positions: cumsum's additions, in place
+            if k <= _MC_CHUNK // _WALKER_CHUNK:  # a call per row beats one per column
+                for j in range(1, k):
+                    d[j] += d[j - 1]
+            else:
+                np.add.accumulate(d, axis=0, out=d)
+        x, y = dx[-1].copy(), dy[-1].copy()
+        dx *= dx
+        dy *= dy
+        dx += dy  # r^2
+        hit = dx <= eps2
         hit[0] |= met
-        hit = np.logical_or.accumulate(hit, axis=0)
+        met = hit.any(axis=0)
         rows = slice(lo + 1, lo + k + 1)
-        r2_total[rows] += np.sum(r2, axis=1)
-        r4_total[rows] += np.sum(r2 * r2, axis=1)
-        met_total[rows] += np.count_nonzero(hit, axis=1)
-        x, y, met = sx[-1], sy[-1], hit[-1]
+        r2_total[rows] += dx.sum(axis=1)
+        dx *= dx  # r^4
+        r4_total[rows] += dx.sum(axis=1)
+        # each walker counts from its first hit row on
+        met_total[rows] += np.bincount(hit.argmax(axis=0)[met], minlength=k).cumsum()
 
 
 def run_ensemble(
@@ -338,39 +358,41 @@ def run_ensemble(
     Walkers ``[256 c, 256 c + 256)`` draw from ``default_rng([seed, c])``,
     and chunk sums are added in chunk order, so the output is a pure
     function of the arguments.  Raises ``ValueError`` if the squared
-    meeting radius or reach overflows.
+    meeting radius overflows, or if ``r^2`` or its spread can: the walkers'
+    summed ``r^4`` at the reach.
     """
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     if n_walkers < 1:
         raise ValueError(f"n_walkers must be at least 1, got {n_walkers}")
     if not 0.0 <= meeting_radius < math.inf:
-        raise ValueError(
-            f"meeting radius must be finite and nonnegative, got {meeting_radius}"
-        )
+        raise ValueError(f"meeting radius must be finite and >= 0: {meeting_radius}")
+    if not math.isfinite(meeting_radius * meeting_radius):
+        raise ValueError(f"meeting radius = {meeting_radius} overflows when squared")
     # every separation stays within |sep0| + 2 l n_steps of the origin
     reach = initial.separation + 2.0 * initial.step_length * n_steps
-    for name, value in (("meeting radius", meeting_radius),
-                        ("reach |r| + 2 l n_steps", reach)):
-        if not math.isfinite(value * value):
-            raise ValueError(f"{name} = {value} overflows when squared")
+    if not math.isfinite(n_walkers * reach * reach * reach * reach):
+        raise ValueError(f"r^2 or its spread overflows at reach {reach}")
 
     sep0 = initial.pos_a - initial.pos_b
-    r2_total, r4_total = np.zeros(n_steps + 1), np.zeros(n_steps + 1)
-    met_total = np.zeros(n_steps + 1, dtype=np.int64)
+    # per-step sums of r^2, r^4 and "met by now"; counts below 2^53 are exact
+    r2_total, r4_total, met_total = np.zeros((3, n_steps + 1))
     for chunk, lo in enumerate(range(0, n_walkers, _WALKER_CHUNK)):
         rng = np.random.default_rng([seed, chunk])
         _add_chunk_stats((r2_total, r4_total, met_total), rng,
                          min(_WALKER_CHUNK, n_walkers - lo), sep0,
                          initial.step_length, proto, meeting_radius)
     mean_r2 = r2_total / n_walkers
-    if n_walkers > 1:
-        spread = np.maximum(r4_total - r2_total * mean_r2, 0.0)
-        stderr_r2 = np.sqrt(spread / (n_walkers * (n_walkers - 1.0)))
+    if n_walkers > 1:  # in place: n (n - 1) stderr^2 = sum r^4 - mean * sum r^2
+        r4_total -= np.multiply(r2_total, mean_r2, out=r2_total)
+        stderr_r2 = np.maximum(r4_total, 0.0, out=r4_total)
+        stderr_r2 /= n_walkers * (n_walkers - 1.0)
+        np.sqrt(stderr_r2, out=stderr_r2)
     else:
         stderr_r2 = np.full(n_steps + 1, math.nan)
     # every walker starts at sep0: write |sep0|^2 itself, not a rounded mean
     x0, y0 = sep0
     mean_r2[0] = x0 * x0 + y0 * y0
     stderr_r2[0] = 0.0
-    return EnsembleResult(mean_r2, stderr_r2, met_total / n_walkers)
+    met_total /= n_walkers
+    return EnsembleResult(mean_r2, stderr_r2, met_total)

@@ -57,16 +57,19 @@ class ScriptedRng:
     """Generator stand-in replaying scripted ``random`` draws at the requested size.
 
     Each scripted value, a scalar or an array, is broadcast to the size
-    of the draw that consumes it.  The walk reads turns, and the sign
-    sampler its uniforms, through ``random``.
+    of the draw that consumes it, and kept in ``randoms``.  The walk
+    reads its turns and coupling uniforms through ``random``.  The
+    draws are read-only views, so a kernel that writes into one fails.
     """
 
     def __init__(self, randoms=()):
-        self._randoms = list(randoms)
+        self._script = list(randoms)
+        self.randoms = []
 
     def random(self, size):
-        value = np.broadcast_to(self._randoms.pop(0), size)
+        value = np.broadcast_to(self._script.pop(0), size)
         assert np.all((0.0 <= value) & (value < 1.0))
+        self.randoms.append(value)
         return value
 
 

@@ -98,6 +98,7 @@ def test_non_finite_walk_inputs_are_usage_errors(argv, capsys):
         ["msd", "--r", "1e200", "--samples", "1000"],
         ["msd", "--r", "1e152", "--samples", "1000"],
         ["simulate", "--r", "1e200", "--steps", "2", "--walkers", "2"],
+        ["simulate", "--r", "1e100", "--steps", "2", "--walkers", "2"],
         ["simulate", "--r", "1e160", "--l", "1e160", "--steps", "2", "--walkers", "2"],
     ],
     ids=" ".join,

@@ -6,7 +6,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entwalk.correlations import TWO_PI, outcome_probability, sign_pairs
+from entwalk.correlations import TWO_PI, outcome_probability
 from entwalk.walk import Protocol, ProtocolSpec, _direction, _separation_deltas
 
 from conftest import RecordingRng, ScriptedRng
@@ -23,7 +23,7 @@ def test_direction_unit_vector_norm():
     # equal axes and equal classical signs: the two agents' moves add up
     # to 2 l exactly when each is l along a unit direction
     turn = np.array([0.0, 1.0, 2.5, 6.2]) / TWO_PI
-    rng = ScriptedRng(randoms=[turn, turn, 0.3, 0.9])
+    rng = ScriptedRng(randoms=[turn, turn, 0.9])
     dx, dy = _separation_deltas(4, 0.5, ProtocolSpec(Protocol.CLASSICAL), rng)
     assert np.hypot(dx, dy) == pytest.approx(np.ones(4), abs=1e-12)
 
@@ -86,54 +86,64 @@ def test_rotational_invariance(a, b, p, offset):
     assert abs(base - shifted) <= 1e-15
 
 
+def _couplings(rng, n, p, kind=Protocol.PLUS, l=0.5):
+    """``cos delta`` and ``q = sigma_a sigma_b`` of one ``n``-step kernel call.
+
+    The kernel's step is ``l (n_a - s q n_b)`` with ``s = b_step_sign``,
+    so ``q = -s (step / l - n_a) . n_b``, read off the step and the
+    directions of the turns that ``rng`` handed out.
+    """
+    proto = ProtocolSpec(kind, p)
+    dx, dy = _separation_deltas(n, l, proto, rng)
+    (ca, sa), (cb, sb) = (_direction(u) for u in rng.randoms[:2])
+    q = -proto.b_step_sign * ((dx / l - ca) * cb + (dy / l - sa) * sb)
+    assert np.max(np.abs(np.abs(q) - 1.0)) <= 1e-12
+    return ca * cb + sa * sb, np.rint(q)
+
+
 def test_sampler_common_axis_always_anticorrelated():
-    rng = np.random.default_rng(1)
-    sa, sb = sign_pairs(np.cos(np.zeros(500)), 1.0, rng)
-    assert np.all(sb == -sa)
+    turns = np.random.default_rng(1).random((2, 500))
+    rng = ScriptedRng(randoms=[turns[0], turns[0], turns[1]])
+    _, q = _couplings(rng, 500, 1.0)
+    assert np.all(q == -1.0)
 
 
 def test_sampler_uncorrelated_at_zero_mixing():
-    rng = np.random.default_rng(2)
     n = 200_000
-    sa, sb = sign_pairs(np.cos(np.full(n, 0.4)), 0.0, rng)
-    # all four joint outcomes equally likely: check mean and correlation
-    assert abs(np.mean(sa)) < 3.0 / math.sqrt(n)
-    assert abs(np.mean(sb)) < 3.0 / math.sqrt(n)
-    assert abs(np.mean(sa * sb)) < 3.0 / math.sqrt(n)
+    cos_delta, q = _couplings(RecordingRng(2), n, 0.0)
+    # q is a fair sign whatever the angle: check its mean and its
+    # correlation with cos delta, whose variance is 1/2
+    assert abs(np.mean(q)) < 3.0 / math.sqrt(n)
+    assert abs(np.mean(q * cos_delta)) < 3.0 * math.sqrt(0.5 / n)
 
 
 def test_sampler_anticorrelation_frequency_pi_third():
-    # P(sigma_b = -sigma_a) = (1 + cos(pi/3)) / 2 = 0.75 at full mixing
-    rng = np.random.default_rng(3)
+    # P(q = -1) = (1 + cos(pi/3)) / 2 = 0.75 at full mixing
     n = 1_000_000
-    sa, sb = sign_pairs(np.cos(np.full(n, math.pi / 3)), 1.0, rng)
-    freq = np.mean(sa != sb)
+    turns = np.random.default_rng(3).random((2, n))
+    rng = ScriptedRng(randoms=[turns[0], (turns[0] + 1.0 / 6.0) % 1.0, turns[1]])
+    _, q = _couplings(rng, n, 1.0)
+    freq = np.mean(q == -1.0)
     stderr = math.sqrt(0.75 * 0.25 / n)
     assert abs(freq - 0.75) < 3.0 * stderr
 
 
 def test_sampler_matches_distribution_chi_square():
+    # q = -1 with probability (1 + p cos delta) / 2, so each of 8 bins of
+    # the angle delta expects the sum of that over its steps; conditional
+    # on the bin counts, the 16 cells have 8 degrees of freedom
     rng = np.random.default_rng(4)
-    for _ in range(3):
-        delta = rng.uniform(0.0, 2.0 * math.pi)
-        p = rng.uniform(0.0, 1.0)
-        n = 1_000_000
-        sa, sb = sign_pairs(np.cos(np.full(n, delta)), p, rng)
-        observed = np.array(
-            [
-                np.sum((sa == x) & (sb == y))
-                for x in (-1, 1)
-                for y in (-1, 1)
-            ]
-        )
-        expected = np.array(
-            [
-                n * 0.25 * (1.0 - p * x * y * math.cos(delta))
-                for x in (-1, 1)
-                for y in (-1, 1)
-            ]
-        )
-        result = scipy.stats.chisquare(observed, expected)
+    n, edges = 1_000_000, np.linspace(0.0, math.pi, 9)
+    for seed, kind in enumerate(Protocol):
+        proto = ProtocolSpec(kind, rng.uniform(0.0, 1.0))
+        cos_delta, q = _couplings(RecordingRng([4, seed]), n, proto.p, kind)
+        bins = np.digitize(np.arccos(np.clip(cos_delta, -1.0, 1.0)), edges[1:-1])
+        p_anti = 0.5 * (1.0 + proto.effective_p * cos_delta)
+        observed = np.concatenate([np.bincount(bins, weights=q == s, minlength=8)
+                                   for s in (-1.0, 1.0)])
+        expected = np.concatenate([np.bincount(bins, weights=w, minlength=8)
+                                   for w in (p_anti, 1.0 - p_anti)])
+        result = scipy.stats.chisquare(observed, expected, ddof=7)
         assert result.pvalue > 0.01
 
 
@@ -141,8 +151,8 @@ def _recorded_turns(seed, n):
     """The two turn blocks one classical ``n``-step kernel call draws."""
     rng = RecordingRng(seed)
     _separation_deltas(n, 1.0, ProtocolSpec(Protocol.CLASSICAL), rng)
-    # four blocks in turn: A's turns, B's turns, sigma_a's and sigma_b's uniforms
-    assert [draw.shape for draw in rng.randoms] == [(n,)] * 4
+    # three blocks in turn: A's turns, B's turns, the coupling uniforms
+    assert [draw.shape for draw in rng.randoms] == [(n,)] * 3
     return rng.randoms[:2]
 
 
@@ -171,8 +181,10 @@ def test_sample_direction_kolmogorov_smirnov():
 
 
 @settings(max_examples=25)
-@given(a=angles, b=angles, p=mixings, seed=st.integers(0, 2**32 - 1))
-def test_sampler_signs_are_valid(a, b, p, seed):
-    rng = np.random.default_rng(seed)
-    sa, sb = sign_pairs(np.cos(np.full(16, a - b)), p, rng)
-    assert np.all(np.isin(sa, (-1, 1))) and np.all(np.isin(sb, (-1, 1)))
+@given(a=angles, b=angles, p=mixings, seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(list(Protocol)))
+def test_sampler_signs_are_valid(a, b, p, seed, kind):
+    coupling = np.random.default_rng(seed).random(16)
+    rng = ScriptedRng(randoms=[a / TWO_PI % 1.0, b / TWO_PI % 1.0, coupling])
+    _, q = _couplings(rng, 16, p, kind)  # asserts |q| = 1
+    assert np.all(np.isin(q, (-1.0, 1.0)))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from entwalk.walk import (
     _MC_CHUNK,
+    MC_DRAWS_PER_SAMPLE,
     Protocol,
     ProtocolSpec,
     WalkState,
@@ -92,22 +94,23 @@ def test_walk_state_validation():
 
 
 def test_step_plus_common_axis_cancels():
-    # scripted draws: both directions equal, perfectly anti-correlated
-    # signs; sigma_a is +1 for the first step and -1 for the second
+    # scripted draws: both directions equal, so at full mixing the signs
+    # are anti-correlated whatever the coupling uniform
     turn = 0.9 / (2.0 * math.pi)
-    rng = ScriptedRng(randoms=[turn, turn, np.array([0.3, 0.7]), 0.2])
+    rng = ScriptedRng(randoms=[turn, turn, np.array([0.2, 0.9])])
     dx, dy = _separation_deltas(2, 0.5, ProtocolSpec(Protocol.PLUS, 1.0), rng)
     assert np.all(np.abs(dx) <= 1e-12)
     assert np.all(np.abs(dy) <= 1e-12)
 
 
 def test_step_minus_common_axis_doubles():
-    turn = 0.9 / (2.0 * math.pi)
-    rng = ScriptedRng(randoms=[turn, turn, np.array([0.3, 0.7]), 0.2])
+    # the second step's common axis is half a turn from the first's
+    turns = 0.9 / (2.0 * math.pi) + np.array([0.0, 0.5])
+    rng = ScriptedRng(randoms=[turns, turns, 0.2])
     dx, dy = _separation_deltas(2, 0.5, ProtocolSpec(Protocol.MINUS, 1.0), rng)
-    sigma_a = np.array([1.0, -1.0])
-    assert dx == pytest.approx(2 * 0.5 * sigma_a * math.cos(0.9), abs=1e-12)
-    assert dy == pytest.approx(2 * 0.5 * sigma_a * math.sin(0.9), abs=1e-12)
+    sign = np.array([1.0, -1.0])
+    assert dx == pytest.approx(2 * 0.5 * sign * math.cos(0.9), abs=1e-12)
+    assert dy == pytest.approx(2 * 0.5 * sign * math.sin(0.9), abs=1e-12)
 
 
 @settings(max_examples=40)
@@ -169,18 +172,19 @@ def test_mc_rejects_tiny_sample_counts():
 
 
 def _reference_deltas(n, l, proto, rng):
-    """``n`` steps from four blocks of ``rng``: A's turns, B's turns, sigma_a, sigma_b.
+    """``n`` steps from three blocks of ``rng``: A's turns, B's turns, the coupling.
 
-    Directions by ``np.cos``/``np.sin``, signs by ``np.where``.
+    The step is ``l (n_a - s q n_b)``, ``s = b_step_sign``, with
+    ``q = sigma_a sigma_b = -1`` with probability ``(1 + p cos delta) / 2``.
+    Directions by ``np.cos``/``np.sin``, ``q`` by ``np.where``.
     """
     ang_a = 2.0 * math.pi * rng.random(n)
     ang_b = 2.0 * math.pi * rng.random(n)
-    sigma_a = np.where(rng.random(n) < 0.5, 1, -1)
     p_anti = 0.5 * (1.0 + proto.effective_p * np.cos(ang_a - ang_b))
-    sigma_b = np.where(rng.random(n) < p_anti, -sigma_a, sigma_a)
-    coeff_b = -proto.b_step_sign
-    dx = l * (sigma_a * np.cos(ang_a) + coeff_b * sigma_b * np.cos(ang_b))
-    dy = l * (sigma_a * np.sin(ang_a) + coeff_b * sigma_b * np.sin(ang_b))
+    q = np.where(rng.random(n) < p_anti, -1, 1)
+    coeff_b = -proto.b_step_sign * q
+    dx = l * (np.cos(ang_a) + coeff_b * np.cos(ang_b))
+    dy = l * (np.sin(ang_a) + coeff_b * np.sin(ang_b))
     return dx, dy
 
 
@@ -233,7 +237,7 @@ def test_mc_reads_any_bit_generator_in_order():
     assert abs(mean / ref_mean - 1.0) <= 1e-13
     assert abs(stderr / ref_stderr - 1.0) <= 1e-13
     skipped = np.random.Generator(np.random.MT19937(3))
-    skipped.random(4 * n)
+    skipped.random(MC_DRAWS_PER_SAMPLE * n)
     state, expected = (g.bit_generator.state["state"] for g in (rng, skipped))
     assert state["pos"] == expected["pos"]
     assert np.array_equal(state["key"], expected["key"])
@@ -384,7 +388,7 @@ def _ensemble_reference(seed, chunk, sep0, l, proto, n_steps, walkers, deltas):
 
     ``default_rng([seed, chunk])`` is drawn in pieces of
     ``_MC_CHUNK // walkers`` whole steps, each piece ``deltas`` on its own
-    four blocks; the positions are one running sum over all steps.
+    three blocks; the positions are one running sum over all steps.
     """
     rng = np.random.default_rng([seed, chunk])
     piece = _MC_CHUNK // walkers
@@ -423,17 +427,22 @@ def test_ensemble_follows_the_chunk_seeded_stream_layout():
 
 
 def test_ensemble_memory_does_not_grow_with_steps():
+    # only the per-step arrays are O(steps): from 2 000 to 20 000 steps
+    # the peak grows by at most the size of the result's arrays
     state = WalkState((0, 0), (1.0, 0), 0.5)
     proto = ProtocolSpec(Protocol.PLUS, 1.0)
     peaks = []
     for n_steps in (2_000, 20_000):
         tracemalloc.start()
         try:
-            run_ensemble(state, proto, n_steps, 300, 0.05, seed=1)
+            res = run_ensemble(state, proto, n_steps, 300, 0.05, seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] <= 2 * peaks[0]
+    result_bytes = sum(a.nbytes for a in (res.mean_r2, res.stderr_r2,
+                                          res.meeting_fraction))
+    print(peaks, peaks[1] - peaks[0], result_bytes)
+    assert peaks[1] - peaks[0] <= result_bytes
 
 
 def test_ensemble_attractive_meets_at_least_as_often_as_classical():
@@ -464,3 +473,15 @@ def test_ensemble_validation():
         run_ensemble(state, proto, 10, 0, 0.1, seed=0)
     with pytest.raises(ValueError):
         run_ensemble(state, proto, 10, 10, -0.1, seed=0)
+
+
+def test_ensemble_rejects_an_overflowing_spread():
+    # r^2 = 1e154 is finite, but the walkers' summed r^4 is not: 2e308
+    proto = ProtocolSpec(Protocol.PLUS)
+    with pytest.raises(ValueError, match="spread overflows"):
+        run_ensemble(WalkState((0, 0), (1e77, 0), 0.5), proto, 2, 2, 0.05, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_ensemble(WalkState((0, 0), (1e77, 0), 0.5), proto, 2, 1, 0.05,
+                           seed=0)
+    assert np.all(np.isfinite(res.mean_r2))
