@@ -1,12 +1,11 @@
 """Correlated two-walker steps on the plane and their curved-surface counterparts.
 
-The package has four layers:
+The package has three computing modules:
 
-* :mod:`entwalk.correlations` -- exact joint sign distribution for paired
-  measurements along planar axes, with a mixing parameter ``p``.
-* :mod:`entwalk.walk` -- two-agent random walk built on those signs:
-  analytic mean-square separation laws, Monte Carlo estimators and
-  reproducible chunk-seeded ensembles.
+* :mod:`entwalk.walk` -- the sign-coupling law with mixing parameter
+  ``p``, and the two-agent random walk built on it: analytic mean-square
+  separation laws, Monte Carlo estimators and reproducible chunk-seeded
+  ensembles.
 * :mod:`entwalk.geometry` -- single geodesic steps on the unit sphere and
   the unit hyperboloid, both as an explicit frame-and-rotation
   construction and as one closed-form step-distance law.
@@ -19,7 +18,6 @@ The package has four layers:
 names imported below are the public API.
 """
 
-from .correlations import outcome_probability
 from .geometry import DegenerateConfigurationError, GeometryKind
 from .solver import (
     CurvatureCurve,
@@ -38,9 +36,9 @@ from .walk import (
     EnsembleResult,
     Protocol,
     ProtocolSpec,
-    WalkState,
     expected_sq_separation,
     mc_sq_separation,
+    outcome_probability,
     run_ensemble,
     weight,
 )

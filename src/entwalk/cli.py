@@ -47,10 +47,9 @@ import typing
 import numpy as np
 
 from . import geometry, solver, walk
-from .correlations import TWO_PI, outcome_probability
-from .geometry import GeometryKind
+from .geometry import TWO_PI, GeometryKind
 from .solver import CurvatureProblem, QuadratureSpec
-from .walk import Protocol, ProtocolSpec, WalkState
+from .walk import Protocol, ProtocolSpec
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -208,15 +207,8 @@ def cmd_msd(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     proto = cfg.protocol_spec(cfg.protocol or "plus")
-    initial = WalkState((0.0, 0.0), (cfg.r, 0.0), cfg.l)
-    result = walk.run_ensemble(
-        initial,
-        proto,
-        cfg.steps,
-        cfg.walkers,
-        cfg.meeting_radius,
-        seed=cfg.seed,
-    )
+    result = walk.run_ensemble(cfg.r, cfg.l, proto, cfg.steps, cfg.walkers,
+                               cfg.meeting_radius, seed=cfg.seed)
     rows = [
         [str(t), _fmt(result.mean_r2[t]), _fmt(result.meeting_fraction[t])]
         for t in range(cfg.steps + 1)
@@ -271,8 +263,8 @@ def cmd_threshold(cfg: RunConfig) -> int:
         "ratio_inf": ratio_inf,
         "ratio_sup": ratio_sup,
         "nu_slope": report.nu_slope,
-        "paper_value": report.paper_comparison.paper_value,
-        "status": report.paper_comparison.status,
+        "paper_value": solver.PAPER_RATIO,
+        "status": report.status,
         # the curve is one graph rho(lam): one branch, id 0
         "branches": [] if report.ratio_extrema is None else [
             {"branch_id": 0, "ratio_inf": ratio_inf, "ratio_sup": ratio_sup}
@@ -295,7 +287,7 @@ def _check_normalization(cfg: RunConfig) -> tuple[bool, str]:
     # rows: the four sign pairs, then (+1, -1) with both axes rotated
     delta = a - b
     rotated = (a + offset) % TWO_PI - (b + offset) % TWO_PI
-    mm, mp, pm, pp, pm_rotated = outcome_probability(
+    mm, mp, pm, pp, pm_rotated = walk.outcome_probability(
         np.array([[-1], [-1], [1], [1], [1]]),
         np.array([[-1], [1], [-1], [1], [-1]]),
         np.stack([delta, delta, delta, delta, rotated]),
@@ -329,7 +321,7 @@ def _check_direction(cfg: RunConfig) -> tuple[bool, str]:
 def _check_msd(cfg: RunConfig) -> tuple[bool, str]:
     rng = np.random.default_rng([cfg.seed, 2])
     worst = 0.0
-    for name in ("plus", "minus", "classical"):
+    for name in _MSD_PROTOCOLS:
         proto = cfg.protocol_spec(name)
         analytic = walk.expected_sq_separation(cfg.r, cfg.l, proto)
         mean, stderr = walk.mc_sq_separation(cfg.r, cfg.l, proto, cfg.samples, rng)
@@ -351,12 +343,11 @@ def _check_ensemble(cfg: RunConfig) -> tuple[bool, str]:
     = (4 w - 2) l^4``, so ``Var r_t^2 = 2 m2 r^2 t + m2^2 t (t - 2) + m4 t``.
     """
     t, n = _VERIFY_ENSEMBLE_STEPS, _VERIFY_ENSEMBLE_WALKERS
-    initial = WalkState((0.0, 0.0), (cfg.r, 0.0), cfg.l)
     l2 = cfg.l * cfg.l
     worst = 0.0
     for name in _MSD_PROTOCOLS:
         proto = cfg.protocol_spec(name)
-        res = walk.run_ensemble(initial, proto, t, n, 0.0, seed=cfg.seed)
+        res = walk.run_ensemble(cfg.r, cfg.l, proto, t, n, 0.0, seed=cfg.seed)
         w = walk.weight(proto.kind, proto.effective_p)
         m2, m4 = w * l2, (4.0 * w - 2.0) * l2 * l2
         var = 2.0 * m2 * cfg.r * cfg.r * t + m2 * m2 * t * (t - 2) + m4 * t

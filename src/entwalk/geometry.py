@@ -102,10 +102,6 @@ class DegenerateConfigurationError(ValueError):
     """Separation at which the tangent frames are undefined."""
 
 
-#: Inner product with signature (+, -, -) over the last axis.
-minkowski_dot = CURVATURE[GeometryKind.HYPERBOLIC].dot
-
-
 def arccosh_from_excess(w: np.ndarray) -> np.ndarray:
     """``arccosh(1 + w)`` for ``w >= 0``, to full relative accuracy at tiny ``w``.
 

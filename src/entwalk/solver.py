@@ -61,6 +61,9 @@ DEFAULT_BISECT_TOL = 1e-10
 _ILLINOIS_MAX_ITER = 80
 CERTIFICATION_TOL = 1e-8
 
+#: The paper's threshold on ``l / r``; ``threshold`` compares the infimum with it.
+PAPER_RATIO = 0.64
+
 #: Escalation cap for per-point certification refinement.
 MAX_CERTIFY_NODES = 2048
 
@@ -142,23 +145,15 @@ class CertifiedCurve:
 
 
 @dataclass(frozen=True)
-class PaperComparison:
-    """Outcome of comparing a computed ratio bound with the reference 0.64."""
-
-    status: str
-    paper_value: float
-    computed_inf_ratio: float | None
-
-
-@dataclass(frozen=True)
 class ThresholdReport:
     """Endpoints and ratio bounds extracted from the certified curve.
 
     ``ratio_extrema`` is ``(inf, sup)`` of ``lam / rho`` over the rows
     ``curve`` prints; ``nu_slope`` is the slope between the two
     smallest-``lam`` hyperbolic points, so it depends on the grid.  Fields
-    are ``None`` when no root exists in the scan range.  ``ok`` is the
-    curve's verdict, ``CertifiedCurve.ok``.
+    are ``None`` when no root exists in the scan range.  ``status`` compares
+    the infimum with ``PAPER_RATIO``; ``ok`` is the curve's verdict,
+    ``CertifiedCurve.ok``.
     """
 
     geometry: GeometryKind
@@ -167,7 +162,7 @@ class ThresholdReport:
     rho0: float | None
     ratio_extrema: tuple[float, float] | None
     nu_slope: float | None
-    paper_comparison: PaperComparison
+    status: str
     ok: bool
 
 
@@ -627,13 +622,13 @@ def extract_thresholds(
     lambda_max: float | None = None,
     lambda_steps: int = DEFAULT_LAMBDA_STEPS,
 ) -> ThresholdReport:
-    """Endpoints, ratio bounds and the 0.64 comparison for one problem.
+    """Endpoints, ratio bounds and the ``PAPER_RATIO`` comparison for one problem.
 
     ``lambda_star`` is the certified axis crossing (``curve``'s axis row),
     ``rho0`` the small-step intercept from the series condition, and the
     ``lam / rho`` extrema are taken over ``certified_curve``'s points, the
     rows ``curve`` prints.  The status is ``consistent`` when the infimum
-    lies within +/-0.02 of 0.64, else ``discrepant``.
+    lies within +/-0.02 of ``PAPER_RATIO``, else ``discrepant``.
     """
     axis, _, cert = certified_curve(problem, quad, lambda_min, lambda_max, lambda_steps)
     curve = cert.curve
@@ -646,14 +641,11 @@ def extract_thresholds(
     if problem.geometry is GeometryKind.HYPERBOLIC and len(lowest) == 2:
         nu_slope = (lowest[1].rho - lowest[0].rho) / (lowest[1].lam - lowest[0].lam)
 
-    paper_value = 0.64
-    computed = ratio_extrema[0] if ratio_extrema else None
-    close = computed is not None and abs(computed - paper_value) <= 0.02
+    close = ratio_extrema is not None and abs(ratio_extrema[0] - PAPER_RATIO) <= 0.02
     return ThresholdReport(
         problem.geometry, problem.w, axis[0] if axis is not None else None,
         _series_intercept(problem), ratio_extrema, nu_slope,
-        PaperComparison("consistent" if close else "discrepant", paper_value, computed),
-        cert.ok,
+        "consistent" if close else "discrepant", cert.ok,
     )
 
 

@@ -6,6 +6,15 @@ moves along ``-sigma_b * n_b`` ("plus" rule, effective attraction) or
 ``+sigma_b * n_b`` ("minus" rule, effective repulsion).  The classical
 reference walk uses independent fair signs.
 
+The signs are coupled by one law, with mixing parameter ``p`` and
+``delta`` the angle between the two directions:
+
+    P(sigma_a, sigma_b) = (1 - p * sigma_a * sigma_b * cos(delta)) / 4
+
+``sigma_a`` is a fair sign and ``sigma_a sigma_b = -1`` with probability
+``(1 + p cos(delta)) / 2``.  ``opposite_probability`` writes that once;
+the kernel and ``outcome_probability`` both read it.
+
 The analytic mean-square separation after one step is
 ``r'^2 = r^2 + w * l^2`` with
 
@@ -41,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import TWO_PI
+from .geometry import TWO_PI
 
 # The stream layout: walkers per ensemble substream, and walker-steps
 # per kernel call.  Changing either changes walk outputs.  glibc trims
@@ -107,32 +116,44 @@ def weight(kind: Protocol, p: float = 1.0) -> float:
     raise ValueError(f"unknown protocol kind: {kind!r}")
 
 
-@dataclass(frozen=True)
-class WalkState:
-    """Positions of the two agents and the common step length."""
-
-    pos_a: np.ndarray
-    pos_b: np.ndarray
-    step_length: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pos_a", np.asarray(self.pos_a, dtype=float))
-        object.__setattr__(self, "pos_b", np.asarray(self.pos_b, dtype=float))
-        if self.pos_a.shape != (2,) or self.pos_b.shape != (2,):
-            raise ValueError("positions must be 2-D points")
-        _check_scales(self.separation, self.step_length)
-
-    @property
-    def separation(self) -> float:
-        return float(np.hypot(*(self.pos_a - self.pos_b)))
-
-
 def _check_scales(r: float, l: float) -> None:
     """Raise unless ``r`` is finite and nonnegative and ``l`` finite and positive."""
     if not 0.0 <= r < math.inf:
         raise ValueError(f"separation must be finite and nonnegative, got {r}")
     if not 0.0 < l < math.inf:
         raise ValueError(f"step length must be finite and positive, got {l}")
+
+
+def opposite_probability(
+    cos_delta: np.ndarray, p: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``P(sigma_a sigma_b = -1) = 0.5 + 0.5 p cos(delta)``, the coupling law.
+
+    ``out`` may be ``cos_delta`` itself, which the kernel overwrites.
+    """
+    out = np.multiply(cos_delta, 0.5 * p, out=out)
+    out += 0.5
+    return out
+
+
+def outcome_probability(
+    sigma_a: np.ndarray,
+    sigma_b: np.ndarray,
+    delta: np.ndarray,
+    p: np.ndarray,
+) -> np.ndarray:
+    """Probability of the signs ``(sigma_a, sigma_b)`` for axes ``delta`` apart.
+
+    Broadcasts over its arguments.  Half of ``opposite_probability`` at
+    ``-sigma_a sigma_b cos(delta)``, which is ``(1 - p sigma_a sigma_b
+    cos(delta)) / 4`` to the bit: scaling by ``+-1`` and by 2 is exact.
+    """
+    sigma_a, sigma_b, p = (np.asarray(a) for a in (sigma_a, sigma_b, p))
+    if not np.all((0.0 <= p) & (p <= 1.0)):
+        raise ValueError(f"mixing parameter must lie in [0, 1], got {p}")
+    if not np.all((np.abs(sigma_a) == 1) & (np.abs(sigma_b) == 1)):
+        raise ValueError(f"signs must be +1 or -1, got ({sigma_a}, {sigma_b})")
+    return 0.5 * opposite_probability(-sigma_a * sigma_b * np.cos(delta), p)
 
 
 def expected_sq_separation(r: float, l: float, proto: ProtocolSpec) -> float:
@@ -215,15 +236,14 @@ def _separation_deltas(
     ``l (sigma_a n_a - s sigma_b n_b)``, ``s = b_step_sign``, is
     ``l (n_a - s q n_b)`` with ``sigma_a`` folded into the directions: a fair
     sign keeps the pair uniform and their angle ``delta``.  ``q = sigma_a
-    sigma_b`` is -1 with probability ``(1 + p cos delta) / 2``.  The step
+    sigma_b`` is -1 with probability ``opposite_probability``.  The step
     is written into the direction arrays, never into a drawn one.
     """
     ca, sa = _direction(rng.random(n))
     cb, sb = _direction(rng.random(n))
-    anti = ca * cb  # P(q = -1) from cos delta, the directions' dot product
+    anti = ca * cb  # cos delta, the directions' dot product
     anti += sa * sb
-    anti *= 0.5 * proto.effective_p
-    anti += 0.5
+    opposite_probability(anti, proto.effective_p, out=anti)
     sl = proto.b_step_sign * l
     # bool arithmetic rather than np.where, which branches per element
     gb = np.multiply(rng.random(n) < anti, 2.0 * sl, out=anti)  # -s q l
@@ -297,7 +317,7 @@ def _add_chunk_stats(
     totals: tuple[np.ndarray, np.ndarray, np.ndarray],
     rng: np.random.Generator,
     n_walkers: int,
-    sep0: np.ndarray,
+    sep0: tuple[float, float],
     l: float,
     proto: ProtocolSpec,
     meeting_radius: float,
@@ -346,14 +366,15 @@ def _add_chunk_stats(
 
 
 def run_ensemble(
-    initial: WalkState,
+    r: float,
+    l: float,
     proto: ProtocolSpec,
     n_steps: int,
     n_walkers: int,
     meeting_radius: float,
     seed: int,
 ) -> EnsembleResult:
-    """Evolve ``n_walkers`` independent pairs for ``n_steps`` steps.
+    """Evolve ``n_walkers`` pairs ``r`` apart, steps of length ``l``, for ``n_steps``.
 
     Walkers ``[256 c, 256 c + 256)`` draw from ``default_rng([seed, c])``,
     and chunk sums are added in chunk order, so the output is a pure
@@ -361,6 +382,7 @@ def run_ensemble(
     meeting radius overflows, or if ``r^2`` or its spread can: the walkers'
     summed ``r^4`` at the reach.
     """
+    _check_scales(r, l)
     if n_steps < 0:
         raise ValueError(f"n_steps must be nonnegative, got {n_steps}")
     if n_walkers < 1:
@@ -369,19 +391,19 @@ def run_ensemble(
         raise ValueError(f"meeting radius must be finite and >= 0: {meeting_radius}")
     if not math.isfinite(meeting_radius * meeting_radius):
         raise ValueError(f"meeting radius = {meeting_radius} overflows when squared")
-    # every separation stays within |sep0| + 2 l n_steps of the origin
-    reach = initial.separation + 2.0 * initial.step_length * n_steps
+    # every separation stays within r + 2 l n_steps of the origin
+    reach = r + 2.0 * l * n_steps
     if not math.isfinite(n_walkers * reach * reach * reach * reach):
         raise ValueError(f"r^2 or its spread overflows at reach {reach}")
 
-    sep0 = initial.pos_a - initial.pos_b
+    sep0 = (-r, 0.0)  # A at the origin, B at (r, 0)
     # per-step sums of r^2, r^4 and "met by now"; counts below 2^53 are exact
     r2_total, r4_total, met_total = np.zeros((3, n_steps + 1))
     for chunk, lo in enumerate(range(0, n_walkers, _WALKER_CHUNK)):
         rng = np.random.default_rng([seed, chunk])
         _add_chunk_stats((r2_total, r4_total, met_total), rng,
-                         min(_WALKER_CHUNK, n_walkers - lo), sep0,
-                         initial.step_length, proto, meeting_radius)
+                         min(_WALKER_CHUNK, n_walkers - lo), sep0, l, proto,
+                         meeting_radius)
     mean_r2 = r2_total / n_walkers
     if n_walkers > 1:  # in place: n (n - 1) stderr^2 = sum r^4 - mean * sum r^2
         r4_total -= np.multiply(r2_total, mean_r2, out=r2_total)
@@ -390,9 +412,7 @@ def run_ensemble(
         np.sqrt(stderr_r2, out=stderr_r2)
     else:
         stderr_r2 = np.full(n_steps + 1, math.nan)
-    # every walker starts at sep0: write |sep0|^2 itself, not a rounded mean
-    x0, y0 = sep0
-    mean_r2[0] = x0 * x0 + y0 * y0
+    mean_r2[0] = r * r  # every walker starts r apart: r^2 itself, not a rounded mean
     stderr_r2[0] = 0.0
     met_total /= n_walkers
     return EnsembleResult(mean_r2, stderr_r2, met_total)

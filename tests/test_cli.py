@@ -82,6 +82,7 @@ def test_msd_rejects_undersized_sample_count():
         ["simulate", "--l", "inf", "--steps", "2", "--walkers", "2"],
         ["simulate", "--epsilon", "nan"],
         ["simulate", "--r", "inf", "--steps", "2", "--walkers", "2"],
+        ["simulate", "--r", "-1", "--steps", "2", "--walkers", "2"],
     ],
     ids=" ".join,
 )

@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entwalk.correlations import TWO_PI, outcome_probability
-from entwalk.walk import Protocol, ProtocolSpec, _direction, _separation_deltas
+from entwalk.geometry import TWO_PI
+from entwalk.walk import (
+    Protocol,
+    ProtocolSpec,
+    _direction,
+    _separation_deltas,
+    opposite_probability,
+    outcome_probability,
+)
 
 from conftest import RecordingRng, ScriptedRng
 
@@ -77,6 +84,16 @@ def test_normalization_and_marginals(a, b, p):
     assert all(0.0 <= v <= 1.0 for v in (mm, mp, pm, pp))
 
 
+@example(a=1.0, b=0.0, p=1e-320)
+@example(a=0.3, b=2.0, p=5e-324)
+@given(a=angles, b=angles, p=mixings | st.floats(0.0, 1e-300))
+def test_outcome_probability_is_the_quarter_law_to_the_bit(a, b, p):
+    # verify's outcome-normalization line prints deviations of this form
+    law = outcome_probability(SIGMA_A, SIGMA_B, a - b, p)
+    direct = 0.25 * (1.0 - p * SIGMA_A * SIGMA_B * np.cos(a - b))
+    assert law.tobytes() == direct.tobytes()
+
+
 @given(a=angles, b=angles, p=mixings, offset=st.floats(-10.0, 10.0))
 def test_rotational_invariance(a, b, p, offset):
     base = outcome_probability(1, -1, a - b, p)
@@ -99,6 +116,21 @@ def _couplings(rng, n, p, kind=Protocol.PLUS, l=0.5):
     q = -proto.b_step_sign * ((dx / l - ca) * cb + (dy / l - sa) * sb)
     assert np.max(np.abs(np.abs(q) - 1.0)) <= 1e-12
     return ca * cb + sa * sb, np.rint(q)
+
+
+@pytest.mark.parametrize("kind", list(Protocol))
+def test_kernel_switches_at_the_law_value(kind):
+    # q = -1 exactly when the coupling uniform lies below
+    # opposite_probability of the same turns: one ulp below it gives -1,
+    # the value itself +1
+    turns_a = np.array([0.0, 0.1, 0.3, 0.45, 0.7, 0.123456789, 0.9])
+    turns_b = (turns_a + [0.05, 0.2, 0.25, 0.4, 0.49, 0.0137, 0.77]) % 1.0
+    (ca, sa), (cb, sb) = _direction(turns_a), _direction(turns_b)
+    for p in (0.0, 1e-300, 0.3, 0.77, 1.0):
+        t = opposite_probability(ca * cb + sa * sb, ProtocolSpec(kind, p).effective_p)
+        for coupling, q in ((np.nextafter(t, 0.0), -1.0), (t, 1.0)):
+            rng = ScriptedRng(randoms=[turns_a, turns_b, coupling])
+            assert np.all(_couplings(rng, len(turns_a), p, kind)[1] == q)
 
 
 def test_sampler_common_axis_always_anticorrelated():

@@ -7,18 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entwalk.geometry import (
+    CURVATURE,
     DegenerateConfigurationError,
     GeometryKind,
     arccosh_from_excess,
     closed_form_distances,
     construction_distances,
-    minkowski_dot,
     _frame_vectors,
     _invert_cos,
     _invert_cosh,
 )
 
 from conftest import planar_two_step_distance
+
+minkowski_dot = CURVATURE[GeometryKind.HYPERBOLIC].dot
 
 S = GeometryKind.SPHERICAL
 H = GeometryKind.HYPERBOLIC

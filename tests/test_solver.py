@@ -512,8 +512,8 @@ def test_extract_thresholds_spherical():
     assert report.rho0 == pytest.approx(math.pi / 2, abs=1e-9)
     assert 1.5 < report.lambda_star < 2.0
     assert report.nu_slope is None
-    assert report.paper_comparison.paper_value == 0.64
-    assert report.paper_comparison.status in ("consistent", "discrepant")
+    assert solver.PAPER_RATIO == 0.64
+    assert report.status in ("consistent", "discrepant")
     assert report.ok
     lo, hi = report.ratio_extrema
     assert 0.0 < lo <= hi

@@ -13,7 +13,6 @@ from entwalk.walk import (
     MC_DRAWS_PER_SAMPLE,
     Protocol,
     ProtocolSpec,
-    WalkState,
     _direction,
     _separation_deltas,
     expected_sq_separation,
@@ -81,12 +80,12 @@ def test_protocol_validation():
     assert ProtocolSpec(Protocol.CLASSICAL, 0.9).effective_p == 0.0
 
 
-def test_walk_state_validation():
-    with pytest.raises(ValueError):
-        WalkState((0.0, 0.0), (1.0, 0.0), 0.0)
-    with pytest.raises(ValueError):
-        WalkState((0.0, 0.0, 0.0), (1.0, 0.0), 1.0)
-    assert WalkState((0.0, 0.0), (3.0, 4.0), 1.0).separation == 5.0
+def test_run_ensemble_validates_scales():
+    proto = ProtocolSpec(Protocol.PLUS)
+    with pytest.raises(ValueError, match="separation must be finite and nonnegative"):
+        run_ensemble(-1.0, 0.5, proto, 2, 2, 0.05, seed=0)
+    with pytest.raises(ValueError, match="step length must be finite and positive"):
+        run_ensemble(1.0, 0.0, proto, 2, 2, 0.05, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +274,7 @@ def test_mc_sweep_all_protocols_and_mixings(kind, p):
 
 def test_ensemble_single_step_matches_analytic():
     proto = ProtocolSpec(Protocol.PLUS, 1.0)
-    res = run_ensemble(WalkState((0, 0), (1.0, 0), 0.5), proto, 1, 200_000, 0.05,
-                       seed=3)
+    res = run_ensemble(1.0, 0.5, proto, 1, 200_000, 0.05, seed=3)
     target = expected_sq_separation(1.0, 0.5, proto)
     # stderr of the mean of r'^2 is below 2e-3 at this size
     assert abs(res.mean_r2[1] - target) < 0.006
@@ -292,7 +290,7 @@ def test_ensemble_spread_matches_the_exact_law(kind):
     p = proto.effective_p
     m2 = weight(kind, p) * l * l
     m4 = (6.0 + {Protocol.PLUS: -4.0, Protocol.MINUS: 4.0}.get(kind, 0.0) * p) * l**4
-    res = run_ensemble(WalkState((0, 0), (r0, 0), l), proto, 100, n, 0.0, seed=0)
+    res = run_ensemble(r0, l, proto, 100, n, 0.0, seed=0)
     for t in (1, 10, 100):
         sigma = math.sqrt(2 * m2 * r0 * r0 * t + m2 * m2 * t * (t - 2) + m4 * t)
         assert abs(res.mean_r2[t] - (r0 * r0 + t * m2)) <= 4.0 * sigma / math.sqrt(n)
@@ -338,7 +336,7 @@ def test_meeting_fraction_matches_the_radial_chain(kind):
     r0, l, eps, n = 1.0, 0.5, 0.05, 10_000
     proto = ProtocolSpec(kind, 1.0)
     chain = radial_chain_meeting(kind, proto.effective_p, r0, l, eps, 50)
-    res = run_ensemble(WalkState((0, 0), (r0, 0), l), proto, 50, n, eps, seed=0)
+    res = run_ensemble(r0, l, proto, 50, n, eps, seed=0)
     assert chain[0] == res.meeting_fraction[0] == 0.0
     for t in (10, 50):
         stderr = math.sqrt(chain[t] * (1.0 - chain[t]) / n)
@@ -346,8 +344,7 @@ def test_meeting_fraction_matches_the_radial_chain(kind):
 
 
 def test_ensemble_zero_steps_returns_initial_row():
-    res = run_ensemble(WalkState((0, 0), (1.0, 0), 0.5),
-                       ProtocolSpec(Protocol.PLUS), 0, 1, 0.05, seed=3)
+    res = run_ensemble(1.0, 0.5, ProtocolSpec(Protocol.PLUS), 0, 1, 0.05, seed=3)
     assert res.mean_r2.shape == (1,)
     assert res.mean_r2[0] == 1.0
     assert res.stderr_r2[0] == 0.0
@@ -355,29 +352,14 @@ def test_ensemble_zero_steps_returns_initial_row():
 
 
 def test_ensemble_zero_meeting_radius_never_meets():
-    res = run_ensemble(WalkState((0, 0), (1.0, 0), 0.5),
-                       ProtocolSpec(Protocol.CLASSICAL), 50, 400, 0.0, seed=5)
+    res = run_ensemble(1.0, 0.5, ProtocolSpec(Protocol.CLASSICAL), 50, 400, 0.0,
+                       seed=5)
     assert np.all(res.meeting_fraction == 0.0)
-
-
-def test_ensemble_translation_invariance():
-    proto = ProtocolSpec(Protocol.PLUS, 1.0)
-    shift = np.array([13.0, -8.0])
-    base = run_ensemble(WalkState((0, 0), (2.5, 0), 0.5), proto, 50, 500, 0.25,
-                        seed=9)
-    moved = run_ensemble(WalkState(shift, shift + (2.5, 0), 0.5), proto, 50, 500,
-                         0.25, seed=9)
-    assert np.array_equal(base.mean_r2, moved.mean_r2)
-    assert np.array_equal(base.meeting_fraction, moved.meeting_fraction)
 
 
 def test_ensemble_deterministic_across_reruns():
     proto = ProtocolSpec(Protocol.MINUS, 0.7)
-    runs = [
-        run_ensemble(WalkState((0, 0), (1.5, 0), 0.5), proto, 60, 700, 0.1,
-                     seed=21)
-        for _ in range(3)
-    ]
+    runs = [run_ensemble(1.5, 0.5, proto, 60, 700, 0.1, seed=21) for _ in range(3)]
     for other in runs[1:]:
         assert np.array_equal(runs[0].mean_r2, other.mean_r2)
         assert np.array_equal(runs[0].meeting_fraction, other.meeting_fraction)
@@ -406,19 +388,18 @@ def test_ensemble_follows_the_chunk_seeded_stream_layout():
     # and a ragged 21 in the second
     seed, eps, l = 13, 0.3, 0.5
     proto = ProtocolSpec(Protocol.PLUS, 0.8)
-    res = run_ensemble(WalkState((0, 0), (1.2, 0.4), l), proto, 300, 300, eps,
-                       seed=seed)
+    res = run_ensemble(1.2, l, proto, 300, 300, eps, seed=seed)
     # libm's directions agree to rounding; the kernel's own ones exactly
     for deltas, rtol in ((_reference_deltas, 1e-13), (_separation_deltas, 0.0)):
         chunks = [
-            _ensemble_reference(seed, chunk, (-1.2, -0.4), l, proto, 300,
+            _ensemble_reference(seed, chunk, (-1.2, 0.0), l, proto, 300,
                                 walkers, deltas)
             for chunk, walkers in enumerate((256, 44))
         ]
         r2 = np.hstack(chunks)
         met = np.logical_or.accumulate(r2 <= eps * eps, axis=0)
         expected = sum(np.sum(c, axis=1) for c in chunks) / 300
-        expected[0] = 1.2 * 1.2 + 0.4 * 0.4  # step 0 is |sep0|^2, not a rounded mean
+        expected[0] = 1.2 * 1.2  # step 0 is r^2, not a rounded mean
         assert np.array_equal(res.meeting_fraction, np.count_nonzero(met, axis=1) / 300)
         assert np.allclose(res.mean_r2, expected, rtol=rtol, atol=0.0)
         stderr = np.std(r2, axis=1, ddof=1) / math.sqrt(300)
@@ -429,13 +410,12 @@ def test_ensemble_follows_the_chunk_seeded_stream_layout():
 def test_ensemble_memory_does_not_grow_with_steps():
     # only the per-step arrays are O(steps): from 2 000 to 20 000 steps
     # the peak grows by at most the size of the result's arrays
-    state = WalkState((0, 0), (1.0, 0), 0.5)
     proto = ProtocolSpec(Protocol.PLUS, 1.0)
     peaks = []
     for n_steps in (2_000, 20_000):
         tracemalloc.start()
         try:
-            res = run_ensemble(state, proto, n_steps, 300, 0.05, seed=1)
+            res = run_ensemble(1.0, 0.5, proto, n_steps, 300, 0.05, seed=1)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -450,38 +430,33 @@ def test_ensemble_attractive_meets_at_least_as_often_as_classical():
     l = 0.5
     kwargs = dict(n_steps=200, n_walkers=10_000, meeting_radius=0.1 * l, seed=7)
     meet_plus = run_ensemble(
-        WalkState((0, 0), (5 * l, 0), l), ProtocolSpec(Protocol.PLUS, 1.0), **kwargs
-    ).meeting_fraction[-1]
+        5 * l, l, ProtocolSpec(Protocol.PLUS, 1.0), **kwargs).meeting_fraction[-1]
     meet_classical = run_ensemble(
-        WalkState((0, 0), (5 * l, 0), l), ProtocolSpec(Protocol.CLASSICAL), **kwargs
-    ).meeting_fraction[-1]
+        5 * l, l, ProtocolSpec(Protocol.CLASSICAL), **kwargs).meeting_fraction[-1]
     assert meet_plus >= meet_classical
 
 
 def test_ensemble_meeting_fraction_monotone():
-    res = run_ensemble(WalkState((0, 0), (1.0, 0), 0.5),
-                       ProtocolSpec(Protocol.PLUS, 1.0), 80, 400, 0.2, seed=2)
+    res = run_ensemble(1.0, 0.5, ProtocolSpec(Protocol.PLUS, 1.0), 80, 400, 0.2, seed=2)
     assert np.all(np.diff(res.meeting_fraction) >= 0.0)
 
 
 def test_ensemble_validation():
-    state = WalkState((0, 0), (1.0, 0), 0.5)
     proto = ProtocolSpec(Protocol.PLUS)
     with pytest.raises(ValueError):
-        run_ensemble(state, proto, -1, 10, 0.1, seed=0)
+        run_ensemble(1.0, 0.5, proto, -1, 10, 0.1, seed=0)
     with pytest.raises(ValueError):
-        run_ensemble(state, proto, 10, 0, 0.1, seed=0)
+        run_ensemble(1.0, 0.5, proto, 10, 0, 0.1, seed=0)
     with pytest.raises(ValueError):
-        run_ensemble(state, proto, 10, 10, -0.1, seed=0)
+        run_ensemble(1.0, 0.5, proto, 10, 10, -0.1, seed=0)
 
 
 def test_ensemble_rejects_an_overflowing_spread():
     # r^2 = 1e154 is finite, but the walkers' summed r^4 is not: 2e308
     proto = ProtocolSpec(Protocol.PLUS)
     with pytest.raises(ValueError, match="spread overflows"):
-        run_ensemble(WalkState((0, 0), (1e77, 0), 0.5), proto, 2, 2, 0.05, seed=0)
+        run_ensemble(1e77, 0.5, proto, 2, 2, 0.05, seed=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = run_ensemble(WalkState((0, 0), (1e77, 0), 0.5), proto, 2, 1, 0.05,
-                           seed=0)
+        res = run_ensemble(1e77, 0.5, proto, 2, 1, 0.05, seed=0)
     assert np.all(np.isfinite(res.mean_r2))
